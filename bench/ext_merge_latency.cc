@@ -9,12 +9,16 @@
 //
 // Part 2 (this repo's background-compaction pipeline): per-Put *latency*
 // distribution, inline vs background, on a durable Db over a real
-// FileBlockDevice with four concurrent writers. Inline mode runs the merge
-// cascade in the overflowing writer while every other writer queues behind
-// the commit lock; background mode seals the memtable onto the compaction
-// queue and returns. Both modes do the same logical work (equal amortized
-// block writes); only who pays the merge changes. IoStats syscall/batch
-// counters show the vectored pwritev path underneath.
+// FileBlockDevice with four concurrent writers. Both modes run the same
+// compaction steps; inline mode runs them in the writer that seals the
+// memtable while every other writer queues behind the commit lock, and
+// background mode hands the sealed memtable to a worker and returns. The
+// block counts of the two modes are reported side by side (blocks_ratio =
+// background / inline): under four writers one worker falls behind and
+// its levels starve, so the modes do not write the same blocks. IoStats
+// syscall/batch counters show the vectored pwritev path underneath.
+//
+// Part 3: latency over time, one background worker vs pools of 2 and 4.
 //
 // Results land on stdout (tables) and in BENCH_merge_latency.json so future
 // PRs can track the trajectory.
@@ -177,7 +181,7 @@ PutLatency MeasurePutLatency(bool background, double dataset_mb,
     });
   }
   for (auto& t : writers) t.join();
-  // Drain queued work so both modes account the same amortized writes.
+  // Drain queued work so each mode's block count covers all its work.
   LSMSSD_CHECK(db.WaitForCompaction().ok());
   const DbStats after = db.Stats();
 
@@ -209,16 +213,14 @@ PutLatency MeasurePutLatency(bool background, double dataset_mb,
   return r;
 }
 
-// ---- Part 3: latency over time, worker pool + rate limiter --------------
+// ---- Part 3: latency over time, worker pool ------------------------------
 //
 // The head-of-line question: with one worker, a long merge parks every
 // queued flush behind it and the writers ride the stall wall in bursts —
 // visible not in the aggregate p99 but in its *variance over time*. Part 3
 // samples (timestamp, latency) pairs, slices the run into fixed wall-clock
 // windows, and reports the per-window p99's mean/stddev/max at 1 worker
-// (unpaced baseline) and at 2/4 workers with the merge rate limiter on
-// (rate = ~1.5x the baseline's observed merge write rate, so pacing
-// smooths bursts without starving throughput).
+// (the baseline) and at 2/4 workers.
 
 struct TimedSample {
   uint64_t t_ns;    ///< Offset from the measurement window's start.
@@ -227,7 +229,6 @@ struct TimedSample {
 
 struct WindowedLatency {
   size_t workers = 0;
-  uint64_t rate_limit = 0;  ///< blocks/sec; 0 = unpaced.
   uint64_t ops = 0;
   double p99_us = 0;              ///< Whole-run p99.
   size_t windows = 0;
@@ -237,16 +238,14 @@ struct WindowedLatency {
   double elapsed_s = 0;
   uint64_t blocks_written = 0;
   uint64_t stall_events = 0;
-  uint64_t rate_pauses = 0;
 };
 
-WindowedLatency MeasureLatencyOverTime(size_t workers, uint64_t rate_limit,
-                                       double dataset_mb, double window_mb,
+WindowedLatency MeasureLatencyOverTime(size_t workers, double dataset_mb,
+                                       double window_mb,
                                        const std::string& dir) {
   std::filesystem::remove_all(dir);
   DbOptions dbopts = MergeHeavyDbOptions(/*background=*/true);
   dbopts.compaction_workers = workers;
-  dbopts.compaction_rate_limit_blocks_per_sec = rate_limit;
   const Options& options = dbopts.options;
   auto db_or = Db::Open(dbopts, dir);
   LSMSSD_CHECK(db_or.ok()) << db_or.status().ToString();
@@ -303,12 +302,10 @@ WindowedLatency MeasureLatencyOverTime(size_t workers, uint64_t rate_limit,
 
   WindowedLatency r;
   r.workers = workers;
-  r.rate_limit = rate_limit;
   r.ops = all.size();
   r.elapsed_s = elapsed_s;
   r.blocks_written = after.io.block_writes() - before.io.block_writes();
   r.stall_events = after.stall_events - before.stall_events;
-  r.rate_pauses = after.compaction_rate_pauses - before.compaction_rate_pauses;
 
   std::vector<uint64_t> flat;
   flat.reserve(all.size());
@@ -354,22 +351,21 @@ WindowedLatency MeasureLatencyOverTime(size_t workers, uint64_t rate_limit,
 
 void AppendWindowedJson(std::string* out, const WindowedLatency& r,
                         bool first) {
+  // rate_limit_blocks_per_sec stays in the schema, always 0: every run is
+  // unpaced, and the variance gate still checks the baseline is.
   char buf[512];
   std::snprintf(
       buf, sizeof(buf),
-      "%s    {\"workers\": %zu, \"rate_limit_blocks_per_sec\": %llu, "
+      "%s    {\"workers\": %zu, \"rate_limit_blocks_per_sec\": 0, "
       "\"ops\": %llu, \"p99_us\": %.3f, \"windows\": %zu, "
       "\"window_p99_mean_us\": %.3f, \"window_p99_stddev_us\": %.3f, "
       "\"window_p99_max_us\": %.3f, \"elapsed_s\": %.3f, "
-      "\"blocks_written\": %llu, \"stall_events\": %llu, "
-      "\"rate_pauses\": %llu}",
+      "\"blocks_written\": %llu, \"stall_events\": %llu}",
       first ? "" : ",\n", r.workers,
-      static_cast<unsigned long long>(r.rate_limit),
       static_cast<unsigned long long>(r.ops), r.p99_us, r.windows,
       r.window_p99_mean_us, r.window_p99_stddev_us, r.window_p99_max_us,
       r.elapsed_s, static_cast<unsigned long long>(r.blocks_written),
-      static_cast<unsigned long long>(r.stall_events),
-      static_cast<unsigned long long>(r.rate_pauses));
+      static_cast<unsigned long long>(r.stall_events));
   *out += buf;
 }
 
@@ -478,12 +474,17 @@ void Main() {
   put_table.Print(std::cout, "ext_put_latency");
   const double speedup =
       bg_r.p99_us > 0 ? inline_r.p99_us / bg_r.p99_us : 0;
-  std::cout << "\nshape check: background p99 should be >= 10x lower than "
-               "inline (merges moved off the commit path) at equal "
-               "amortized block writes; write_syscalls under 2x blocks — "
-               "the data+sidecar cost a per-block path pays — because "
-               "vectored pwritev coalesces contiguous runs. p99 speedup: "
-            << speedup << "x\n";
+  const double blocks_ratio =
+      inline_r.blocks_written > 0
+          ? static_cast<double>(bg_r.blocks_written) /
+                static_cast<double>(inline_r.blocks_written)
+          : 0;
+  std::cout << "\nshape check: write_syscalls under 2x blocks — the "
+               "data+sidecar cost a per-block path pays — because vectored "
+               "pwritev coalesces contiguous runs. p99 speedup (inline / "
+               "background): "
+            << speedup << "x; blocks ratio (background / inline): "
+            << blocks_ratio << "\n";
 
   json += "  \"put_latency\": {\n";
   AppendPutLatencyJson(&json, "inline", inline_r);
@@ -491,46 +492,38 @@ void Main() {
   AppendPutLatencyJson(&json, "background", bg_r);
   json += ",\n";
   {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "    \"p99_speedup\": %.2f\n", speedup);
+    char buf[96];
+    std::snprintf(buf, sizeof(buf),
+                  "    \"p99_speedup\": %.2f,\n    \"blocks_ratio\": %.3f\n",
+                  speedup, blocks_ratio);
     json += buf;
   }
   json += "  },\n";
 
-  // ---- Part 3: latency over time, worker pool + rate limiter ----------
+  // ---- Part 3: latency over time, worker pool ------------------------
   std::cout << "\nLatency over time (32 wall-clock windows, 4 writers): "
-               "1 worker unpaced vs 2/4 workers rate-limited:\n";
+               "1 worker vs 2/4 workers:\n";
   const WindowedLatency base = MeasureLatencyOverTime(
-      /*workers=*/1, /*rate_limit=*/0, db_dataset_mb, db_window_mb, dir);
+      /*workers=*/1, db_dataset_mb, db_window_mb, dir);
   std::cerr << "  [ext-latency] windowed: 1 worker (baseline) done\n";
-  // Pace the pool at ~1.5x the baseline's observed merge write rate:
-  // enough headroom that throughput is not starved, tight enough that a
-  // cascade's write burst is actually smoothed across the window.
-  const uint64_t paced_rate =
-      base.elapsed_s > 0
-          ? static_cast<uint64_t>(1.5 * static_cast<double>(
-                                            base.blocks_written) /
-                                  base.elapsed_s) +
-                1
-          : 0;
   const WindowedLatency two = MeasureLatencyOverTime(
-      /*workers=*/2, paced_rate, db_dataset_mb, db_window_mb, dir);
-  std::cerr << "  [ext-latency] windowed: 2 workers rate-limited done\n";
+      /*workers=*/2, db_dataset_mb, db_window_mb, dir);
+  std::cerr << "  [ext-latency] windowed: 2 workers done\n";
   const WindowedLatency four = MeasureLatencyOverTime(
-      /*workers=*/4, paced_rate, db_dataset_mb, db_window_mb, dir);
-  std::cerr << "  [ext-latency] windowed: 4 workers rate-limited done\n";
+      /*workers=*/4, db_dataset_mb, db_window_mb, dir);
+  std::cerr << "  [ext-latency] windowed: 4 workers done\n";
 
-  TablePrinter wt({"workers", "rate_limit", "p99_us", "win_p99_mean",
-                   "win_p99_stddev", "win_p99_max", "stalls", "rate_pauses"});
+  TablePrinter wt({"workers", "p99_us", "win_p99_mean", "win_p99_stddev",
+                   "win_p99_max", "stalls"});
   for (const WindowedLatency* r : {&base, &two, &four}) {
-    wt.AddRowValues(r->workers, r->rate_limit, r->p99_us,
-                    r->window_p99_mean_us, r->window_p99_stddev_us,
-                    r->window_p99_max_us, r->stall_events, r->rate_pauses);
+    wt.AddRowValues(r->workers, r->p99_us, r->window_p99_mean_us,
+                    r->window_p99_stddev_us, r->window_p99_max_us,
+                    r->stall_events);
   }
   wt.Print(std::cout, "ext_latency_over_time");
   // A multi-worker config "improves" when its latency-over-time curve is
   // flatter (lower per-window p99 stddev) AND its whole-run p99 is no
-  // worse than the 1-worker unpaced baseline. Judge each paced config and
+  // worse than the 1-worker baseline. Judge each multi-worker config and
   // the pair: on a loaded or single-CPU host one of the two worker counts
   // can lose the stddev coin-flip to scheduler noise while the other wins
   // every axis, so the headline boolean is "some worker count >= 2".
@@ -543,9 +536,9 @@ void Main() {
   const auto [two_var, two_p99] = improves(two);
   const auto [four_var, four_p99] = improves(four);
   const bool multi_improves = (two_var && two_p99) || (four_var && four_p99);
-  std::cout << "\nshape check: parallel workers + pacing should flatten the "
+  std::cout << "\nshape check: parallel workers should flatten the "
                "latency-over-time curve — per-window p99 stddev at 2+ workers "
-               "rate-limited at or below the 1-worker baseline ("
+               "at or below the 1-worker baseline ("
             << two.window_p99_stddev_us << " / " << four.window_p99_stddev_us
             << " vs " << base.window_p99_stddev_us
             << " us), with whole-run p99 no worse (" << two.p99_us << " / "

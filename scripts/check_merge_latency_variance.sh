@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Variance gate over BENCH_merge_latency.json's latency_over_time section
-# (ext_merge_latency part 3): the parallel-worker + rate-limiter scheduler
-# must keep the latency-over-time curve at least as flat as the 1-worker
-# baseline. Budgets are deliberately generous — CI boxes are noisy and the
+# (ext_merge_latency part 3): the parallel-worker scheduler must keep the
+# latency-over-time curve at least as flat as the 1-worker baseline.
+# Budgets are deliberately generous — CI boxes are noisy and the
 # windowed stddev doubly so — so only a real head-of-line regression
 # (multi-worker runs slower or spikier than the single-worker baseline by
 # integer factors) fails the job.
@@ -30,9 +30,6 @@ for w in (1, 2, 4):
 base = runs[1]
 if base["rate_limit_blocks_per_sec"] != 0:
     sys.exit("FAIL: workers=1 baseline should be unpaced")
-for w in (2, 4):
-    if runs[w]["rate_limit_blocks_per_sec"] == 0:
-        sys.exit(f"FAIL: workers={w} run should be rate-limited")
 
 failures = []
 

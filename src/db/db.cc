@@ -29,13 +29,21 @@ using fsutil::FileSizeOrZero;
 using fsutil::SyncDir;
 using fsutil::WriteFile;
 
+using Clock = std::chrono::steady_clock;
+
+uint64_t MicrosSince(Clock::time_point t0) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0)
+          .count());
+}
+
 /// Iterator wrapper that pins the Db's tree by holding its shared tree
 /// lock until destroyed: the underlying tree iterator stays valid, and
 /// writers (which need the lock exclusively) wait.
 class SnapshotIterator : public Iterator {
  public:
-  /// `mem_lock` is engaged only in background-compaction mode, where the
-  /// memtables the iterator reads are guarded by their own lock.
+  /// `mem_lock` pins the memtables the iterator reads, which writers
+  /// mutate under their own lock rather than the tree lock.
   SnapshotIterator(std::shared_lock<SharedMutex> lock,
                    std::shared_lock<SharedMutex> mem_lock,
                    std::unique_ptr<Iterator> base)
@@ -377,21 +385,22 @@ StatusOr<std::unique_ptr<Db>> Db::Open(const DbOptions& dbopts,
   // segments (a checkpoint's manifest write crashed after rotating the
   // log), then the active log. Blind-write semantics make this safe even
   // when the manifest already includes a prefix of the replayed entries
-  // (crash between manifest rename and segment unlink).
+  // (crash between manifest rename and segment unlink). Each entry is
+  // applied like a commit and drained like an inline writer, in either
+  // mode: the compaction workers start only after recovery.
   auto replay_records = [&db](const std::vector<Record>& records,
                               size_t limit) -> Status {
     for (size_t i = 0; i < limit; ++i) {
       const Record& r = records[i];
-      Status st = r.is_tombstone() ? db->tree_->Delete(r.key)
-                                   : db->tree_->Put(r.key, r.payload);
-      if (!st.ok()) {
+      Status st = r.is_tombstone() ? db->tree_->DeleteNoMerge(r.key)
+                                   : db->tree_->PutNoMerge(r.key, r.payload);
+      if (st.IsInvalidArgument()) {
         // A checksummed entry the tree rejects means the log lied about
         // its own contents.
-        if (st.IsInvalidArgument()) {
-          return Status::Corruption("WAL replay: " + st.message());
-        }
-        return st;
+        return Status::Corruption("WAL replay: " + st.message());
       }
+      LSMSSD_RETURN_IF_ERROR(st);
+      LSMSSD_RETURN_IF_ERROR(db->DrainCompactionLocked());
       ++db->recovery_replayed_;
     }
     return Status::OK();
@@ -495,16 +504,6 @@ StatusOr<std::unique_ptr<Db>> Db::Open(const DbOptions& dbopts,
     db->maintenance_ = std::thread(&Db::MaintenanceLoop, db.get());
   }
   if (dbopts.background_compaction) {
-    if (dbopts.compaction_rate_limit_blocks_per_sec > 0) {
-      const uint64_t burst =
-          dbopts.compaction_rate_burst_blocks > 0
-              ? dbopts.compaction_rate_burst_blocks
-              : std::max<uint64_t>(
-                    64, dbopts.compaction_rate_limit_blocks_per_sec / 8);
-      db->merge_rate_limiter_ = std::make_unique<RateLimiter>(
-          dbopts.compaction_rate_limit_blocks_per_sec, burst);
-      db->tree_->set_merge_rate_limiter(db->merge_rate_limiter_.get());
-    }
     db->compaction_pool_.reserve(dbopts.compaction_workers);
     for (size_t i = 0; i < dbopts.compaction_workers; ++i) {
       db->compaction_pool_.emplace_back(&Db::CompactionLoop, db.get());
@@ -656,10 +655,10 @@ Status Db::ApplyLocked(const Record& in, std::unique_lock<std::mutex>& lk) {
   wal_bytes_total_ += wal_->bytes_appended() - bytes_before;
   const uint64_t my_seq = ++seq_appended_;
 
-  if (dbopts_.background_compaction) {
-    // The decoupled apply: into the active memtable only, under mem_mu_
-    // (readers probe it shared), never touching tree_mu_ — so this write
-    // cannot wait behind a running merge step.
+  {
+    // The apply: into the active memtable only, under mem_mu_ (readers
+    // probe it shared), never touching tree_mu_ — so this write cannot
+    // wait behind a running merge step.
     std::unique_lock<SharedMutex> mlk(mem_mu_);
     Status st = record.is_tombstone()
                     ? tree_->DeleteNoMerge(record.key)
@@ -673,24 +672,22 @@ Status Db::ApplyLocked(const Record& in, std::unique_lock<std::mutex>& lk) {
     // arbiter (exact under mem_mu_; the load side is relaxed).
     mem_active_records_.store(tree_->active_memtable_records(),
                               std::memory_order_relaxed);
-  } else {
-    std::unique_lock<SharedMutex> tlk(tree_mu_);
-    Status st = record.is_tombstone()
-                    ? tree_->Delete(record.key)
-                    : tree_->Put(record.key, record.payload);
-    if (!st.ok()) {
-      tlk.unlock();
-      // Only durability errors poison the Db. The record itself is
-      // already WAL-logged and sitting in L0 (the tree applies to the
-      // memtable before merging); what failed is the *triggered merge*,
-      // which aborts atomically and leaves the tree intact:
-      //   - ResourceExhausted: the device hit max_device_blocks. Surface
-      //     it as write backpressure — the caller can checkpoint, free
-      //     capacity, or raise the cap, and writers make progress again.
-      //   - Corruption: the merge touched a damaged block, now
-      //     quarantined. Reads and writes of healthy ranges keep working.
-      // Anything else (an I/O error mid-merge, an internal invariant
-      // breach) is a durability failure and poisons as before.
+  }
+
+  if (!dbopts_.background_compaction) {
+    // Inline mode: no worker pool, so this writer runs the compaction
+    // steps itself. Only durability errors poison the Db. The record is
+    // already WAL-logged and in memory; what failed is a compaction step,
+    // which aborts atomically and leaves the tree intact (the next op
+    // retries the drain):
+    //   - ResourceExhausted: the device hit max_device_blocks. Surface
+    //     it as write backpressure — the caller can checkpoint, free
+    //     capacity, or raise the cap, and writers make progress again.
+    //   - Corruption: the merge touched a damaged block, now
+    //     quarantined. Reads and writes of healthy ranges keep working.
+    // Anything else (an I/O error mid-merge, an internal invariant
+    // breach) is a durability failure and poisons.
+    if (Status st = DrainCompactionLocked(); !st.ok()) {
       if (st.code() == StatusCode::kResourceExhausted) {
         ++backpressure_events_;
         return st;
@@ -840,14 +837,6 @@ Status Db::ForceSyncAllLocked(std::unique_lock<std::mutex>& lk) {
 }
 
 Status Db::MaybeSealOrStallLocked(std::unique_lock<std::mutex>& lk) {
-  using Clock = std::chrono::steady_clock;
-  const auto micros_since = [](Clock::time_point t0) {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                              t0)
-            .count());
-  };
-
   // Soft throttle: with the queue deep, delay every op a little so the
   // workers gain ground before writers hit the hard wall. The wait holds
   // db_mu_ on purpose — it must slow the whole commit path. It is a
@@ -866,7 +855,7 @@ Status Db::MaybeSealOrStallLocked(std::unique_lock<std::mutex>& lk) {
                    !compaction_error_.ok() || failed();
           });
       ++throttle_events_;
-      throttle_micros_ += micros_since(t0);
+      throttle_micros_ += MicrosSince(t0);
     }
   }
 
@@ -886,7 +875,7 @@ Status Db::MaybeSealOrStallLocked(std::unique_lock<std::mutex>& lk) {
         return sealed_queued_ < dbopts_.compaction_queue_depth ||
                !compaction_error_.ok() || failed();
       });
-      const uint64_t waited = micros_since(t0);
+      const uint64_t waited = MicrosSince(t0);
       stall_micros_ += waited;
       stall_hist_.Add(waited);
     }
@@ -903,25 +892,68 @@ Status Db::MaybeSealOrStallLocked(std::unique_lock<std::mutex>& lk) {
   // shrunk: writers are serialized by db_mu_ and the worker only pops.
   {
     std::unique_lock<SharedMutex> mlk(mem_mu_);
-    const uint64_t sealed_n = tree_->active_memtable_records();
-    tree_->SealMemtable();
-    mem_sealed_records_.fetch_add(sealed_n, std::memory_order_relaxed);
-    mem_active_records_.store(0, std::memory_order_relaxed);
-    // Publish depth + kick under comp_mu_ while still holding mem_mu_
-    // (mem_mu_ -> comp_mu_ follows the hierarchy): the worker cannot pop
-    // the new memtable before its ++sealed_queued_ lands, because a pop
-    // needs mem_mu_ exclusive.
-    std::lock_guard<std::mutex> clk(comp_mu_);
-    ++sealed_queued_;
-    ++memtables_sealed_;
-    compaction_scheduled_ = true;
+    SealActiveMemtableLocked();
   }
-  // notify_all, not notify_one: comp_cv_ carries two kinds of waiters —
-  // idle workers waiting for work AND pacing workers waiting out rate-
-  // limiter debt (which a deepening queue must interrupt, see
-  // PaceMergeRate). A single notify could be swallowed by the wrong kind.
+  // Every idle worker rescans; those that find the work claimed go back
+  // to sleep.
   comp_cv_.notify_all();
   return Status::OK();
+}
+
+void Db::SealActiveMemtableLocked() {
+  const uint64_t sealed_n = tree_->active_memtable_records();
+  tree_->SealMemtable();
+  mem_sealed_records_.fetch_add(sealed_n, std::memory_order_relaxed);
+  mem_active_records_.store(0, std::memory_order_relaxed);
+  // Publish depth + kick under comp_mu_ while still holding mem_mu_
+  // (mem_mu_ -> comp_mu_ follows the hierarchy): a worker cannot pop the
+  // new memtable before its ++sealed_queued_ lands, because a pop needs
+  // mem_mu_ exclusive.
+  std::lock_guard<std::mutex> clk(comp_mu_);
+  ++sealed_queued_;
+  ++memtables_sealed_;
+  compaction_scheduled_ = true;
+}
+
+Status Db::DrainCompactionLocked() {
+  // Only the caller mutates the memtables and levels here (see the
+  // declaration), so the work check needs no lock beyond what it holds.
+  if (!tree_->MemtableAtCapacity() && !tree_->HasCompactionWork()) {
+    return Status::OK();
+  }
+  std::unique_lock<SharedMutex> tlk(tree_mu_);
+  std::unique_lock<SharedMutex> mlk(mem_mu_);
+  if (tree_->MemtableAtCapacity()) SealActiveMemtableLocked();
+  Status st;
+  for (auto step = LsmTree::CompactStep::kFlush;
+       st.ok() && step != LsmTree::CompactStep::kNone;) {
+    const auto t0 = Clock::now();
+    const size_t sealed_before = tree_->sealed_count();
+    auto step_or = tree_->BackgroundCompactStep();
+    st = step_or.status();
+    step = st.ok() ? step_or.value() : LsmTree::CompactStep::kNone;
+    RecordCompactionStep(st, step, tree_->sealed_count() < sealed_before,
+                         MicrosSince(t0));
+  }
+  mem_sealed_records_.store(tree_->sealed_records(),
+                            std::memory_order_relaxed);
+  mem_l0_records_.store(tree_->l0_buffer_records(),
+                        std::memory_order_relaxed);
+  return st;
+}
+
+void Db::RecordCompactionStep(const Status& st, LsmTree::CompactStep step,
+                              bool popped, uint64_t micros) {
+  std::lock_guard<std::mutex> clk(comp_mu_);
+  compaction_micros_ += micros;
+  if (st.ok()) {
+    compaction_error_ = Status::OK();  // Progress clears a wedge.
+    if (step == LsmTree::CompactStep::kFlush) ++background_flushes_;
+    if (step == LsmTree::CompactStep::kMerge) ++background_merges_;
+    if (popped) --sealed_queued_;
+  } else {
+    compaction_error_ = st;
+  }
 }
 
 void Db::CompactionLoop() {
@@ -953,20 +985,18 @@ void Db::ReleaseLevelsLocked(size_t lo, size_t hi) {
 }
 
 Status Db::RunOneCompactionStep(LsmTree::CompactStep* step, bool* popped) {
-  // Phase 1 — flush. Flushes normally outrank merges (they bound the
-  // writer-visible queue), but once the L0 buffer is backlogged the merge
-  // goes first — flushing into an already-oversized buffer trades bounded
-  // queue depth for unbounded buffer memory (see
-  // LsmTree::L0BufferBacklogged). A flush runs entirely under mem_mu_
-  // exclusive — it drains the front sealed memtable into the memory-
-  // resident L0 buffer, pure memory work — so it overlaps a merge step
-  // another worker is running under tree_mu_. What it must NOT overlap is
-  // an L0 *spill* (which reads and erases the buffer under tree_mu_, not
-  // mem_mu_): the claim on "level 0" serializes the two buffer mutators.
-  // Claim BEFORE peeking: L0BufferBacklogged reads the buffer's size, and
-  // a spill erases the buffer under tree_mu_ (not mem_mu_), so the size is
-  // only stable once claim {0} excludes the other mutator. The claim is
-  // cheap and released immediately when there is nothing to flush.
+  // Phase 1 — flush, when LsmTree::PlanCompaction puts one first (it
+  // does unless the L0 buffer is backlogged). A flush runs entirely under
+  // mem_mu_ exclusive — it drains the front sealed memtable into the
+  // memory-resident L0 buffer, pure memory work — so it overlaps a merge
+  // step another worker is running under tree_mu_. What it must NOT
+  // overlap is an L0 *spill* (which reads and erases the buffer under
+  // tree_mu_, not mem_mu_): the claim on "level 0" serializes the two
+  // buffer mutators. Claim BEFORE peeking: the plan reads the buffer's
+  // size, and a spill erases the buffer under tree_mu_ (not mem_mu_), so
+  // the size is only stable once claim {0} excludes the other mutator.
+  // The claim is cheap and released immediately when there is nothing to
+  // flush.
   bool flush_claimed = false;
   {
     std::lock_guard<std::mutex> clk(comp_mu_);
@@ -976,8 +1006,7 @@ Status Db::RunOneCompactionStep(LsmTree::CompactStep* step, bool* popped) {
     bool do_flush = false;
     {
       std::shared_lock<SharedMutex> mlk(mem_mu_);
-      do_flush =
-          !tree_->L0BufferBacklogged() && tree_->FrontSealed() != nullptr;
+      do_flush = tree_->PlanCompaction(/*include_merges=*/false).flush;
     }
     Status st;
     if (do_flush) {
@@ -1016,10 +1045,10 @@ Status Db::RunOneCompactionStep(LsmTree::CompactStep* step, bool* popped) {
   size_t source = 0;
   bool claimed = false;
   {
-    // mem_mu_ shared: L0BufferOverflowing reads the buffer's size, which a
+    // mem_mu_ shared: the plan reads the buffer's size, which a
     // concurrent flush mutates under mem_mu_.
     std::shared_lock<SharedMutex> mlk(mem_mu_);
-    const std::vector<size_t> sources = tree_->OverflowingMergeSources();
+    const std::vector<size_t> sources = tree_->PlanCompaction().merge_sources;
     std::lock_guard<std::mutex> clk(comp_mu_);
     for (size_t s : sources) {
       if (TryClaimLevelsLocked(s, s + 1)) {
@@ -1048,34 +1077,7 @@ Status Db::RunOneCompactionStep(LsmTree::CompactStep* step, bool* popped) {
   return Status::OK();
 }
 
-void Db::PaceMergeRate() {
-  if (merge_rate_limiter_ == nullptr) return;
-  const std::chrono::microseconds delay = merge_rate_limiter_->DelayNeeded();
-  if (delay.count() <= 0) return;
-  // Cap each pause so a worker re-evaluates the world (new work, shutdown)
-  // at least every 100ms even under a huge debt.
-  const auto capped = std::min(delay, std::chrono::microseconds(100000));
-  using Clock = std::chrono::steady_clock;
-  const auto t0 = Clock::now();
-  std::unique_lock<std::mutex> clk(comp_mu_);
-  // Fairness: merges yield pacing to flushes when the sealed queue is deep
-  // — a paused worker must not hold writers at the stall wall just to
-  // honor a rate limit. Sealing notifies comp_cv_, which interrupts the
-  // wait the moment the queue deepens.
-  const size_t fairness_depth =
-      std::max<size_t>(1, dbopts_.compaction_slowdown_depth);
-  if (sealed_queued_ >= fairness_depth) return;
-  comp_cv_.wait_for(clk, capped, [&] {
-    return stop_compaction_ || sealed_queued_ >= fairness_depth;
-  });
-  ++rate_pauses_;
-  rate_pause_micros_ += static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0)
-          .count());
-}
-
 void Db::RunCompactionSteps() {
-  using Clock = std::chrono::steady_clock;
   {
     std::lock_guard<std::mutex> clk(comp_mu_);
     compaction_scheduled_ = false;
@@ -1087,22 +1089,7 @@ void Db::RunCompactionSteps() {
     auto step = LsmTree::CompactStep::kNone;
     bool popped = false;
     Status st = RunOneCompactionStep(&step, &popped);
-    const auto micros = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                              t0)
-            .count());
-    {
-      std::lock_guard<std::mutex> clk(comp_mu_);
-      compaction_micros_ += micros;
-      if (st.ok()) {
-        compaction_error_ = Status::OK();  // Progress clears a wedge.
-        if (step == LsmTree::CompactStep::kFlush) ++background_flushes_;
-        if (step == LsmTree::CompactStep::kMerge) ++background_merges_;
-        if (popped) --sealed_queued_;
-      } else {
-        compaction_error_ = st;
-      }
-    }
+    RecordCompactionStep(st, step, popped, MicrosSince(t0));
     // After *every* step — progress or error — wake stalled writers: a
     // pop freed a queue slot; an error must be surfaced, not waited out.
     stall_cv_.notify_all();
@@ -1110,11 +1097,9 @@ void Db::RunCompactionSteps() {
       err = st;
       break;
     }
+    // A worker exits only after seeing kNone for itself, so work it saw
+    // claimed by another worker never leaks.
     if (step == LsmTree::CompactStep::kNone) break;
-    // Pay off rate-limiter debt *between* steps, off every lock: the loop
-    // re-scans for work afterwards, so claimed-but-unfinished work never
-    // leaks — a worker exits only after seeing kNone for itself.
-    if (step == LsmTree::CompactStep::kMerge) PaceMergeRate();
   }
   {
     std::lock_guard<std::mutex> clk(comp_mu_);
@@ -1122,11 +1107,11 @@ void Db::RunCompactionSteps() {
   }
   stall_cv_.notify_all();
   // ResourceExhausted and Corruption are retryable backpressure (exactly
-  // as on the inline path); anything else is a durability failure. The
-  // error was published under comp_mu_ FIRST: a stalled writer (which
-  // holds db_mu_!) wakes, returns, and releases db_mu_ — only then can
-  // this FailLocked proceed. Taking db_mu_ before publishing would
-  // deadlock.
+  // as for an inline writer's drain); anything else is a durability
+  // failure. The error was published under comp_mu_ FIRST: a stalled
+  // writer (which holds db_mu_!) wakes, returns, and releases db_mu_ —
+  // only then can this FailLocked proceed. Taking db_mu_ before
+  // publishing would deadlock.
   if (!err.ok() && err.code() != StatusCode::kResourceExhausted &&
       !err.IsCorruption()) {
     std::unique_lock<std::mutex> lk(db_mu_);
@@ -1163,14 +1148,13 @@ StatusOr<std::string> Db::Get(Key key) {
   // — and therefore keeps a checkpoint from unlinking its segment —
   // between the tree probe and the vlog read.
   std::shared_lock<SharedMutex> mlk(mem_mu_, std::defer_lock);
-  if (dbopts_.background_compaction && vlog_on_) mlk.lock();
+  if (vlog_on_) mlk.lock();
 
   StatusOr<std::string> stored = [&]() -> StatusOr<std::string> {
-    if (!dbopts_.background_compaction) return tree_->Get(key);
-    // Background mode: the memtable probe needs mem_mu_ (writers mutate
-    // the active memtable without tree_mu_); the level walk below runs
-    // under tree_mu_ alone, off the writers' locks — except in vlog mode,
-    // where mlk already pins mem_mu_ for the whole lookup (above).
+    // The memtable probe needs mem_mu_ (writers mutate the active
+    // memtable without tree_mu_); the level walk below runs under
+    // tree_mu_ alone, off the writers' locks — except in vlog mode, where
+    // mlk already pins mem_mu_ for the whole lookup (above).
     {
       std::shared_lock<SharedMutex> probe(mem_mu_, std::defer_lock);
       if (!mlk.owns_lock()) probe.lock();
@@ -1193,9 +1177,8 @@ Status Db::Scan(Key lo, Key hi,
   if (!shards_.empty()) return ShardedScan(lo, hi, out);
   std::shared_lock<SharedMutex> tlk(tree_mu_);
   // The scan's iterator walks the active and sealed memtables, which
-  // background-mode writers mutate under mem_mu_ only.
-  std::shared_lock<SharedMutex> mlk(mem_mu_, std::defer_lock);
-  if (dbopts_.background_compaction) mlk.lock();
+  // writers mutate under mem_mu_ only.
+  std::shared_lock<SharedMutex> mlk(mem_mu_);
   if (!vlog_on_) return tree_->Scan(lo, hi, out);
   // Resolve the pointers in place before the locks drop (same reasoning
   // as Get: no GC rewrite can supersede them while mem_mu_ is pinned).
@@ -1214,12 +1197,10 @@ std::unique_ptr<Iterator> Db::NewIterator() const {
   if (failed()) return nullptr;
   if (!shards_.empty()) return ShardedNewIterator();
   std::shared_lock<SharedMutex> tlk(tree_mu_);
-  std::shared_lock<SharedMutex> mlk(mem_mu_, std::defer_lock);
-  // In background mode the snapshot must also pin the memtables: the
-  // iterator reads them, and writers mutate them under mem_mu_ (not
-  // tree_mu_). Writers therefore wait behind open iterators in either
-  // mode — mem_mu_ here, tree_mu_ in inline mode.
-  if (dbopts_.background_compaction) mlk.lock();
+  // The snapshot must also pin the memtables: the iterator reads them,
+  // and writers mutate them under mem_mu_ (not tree_mu_). Writers
+  // therefore wait behind open iterators.
+  std::shared_lock<SharedMutex> mlk(mem_mu_);
   auto base = tree_->NewIterator();
   if (base == nullptr) return nullptr;
   auto snap = std::make_unique<SnapshotIterator>(std::move(tlk),
@@ -1628,21 +1609,16 @@ Status Db::VlogGcSegmentLocked(std::unique_lock<std::mutex>& lk) {
         bool live = false;
         {
           std::shared_lock<SharedMutex> tlk(tree_mu_);
-          if (dbopts_.background_compaction) {
-            bool probed = false;
-            {
-              std::shared_lock<SharedMutex> mlk(mem_mu_);
-              if (const Record* r = tree_->FindInMemtables(info.key)) {
-                live = !r->is_tombstone() && r->payload == want;
-                probed = true;
-              }
+          bool probed = false;
+          {
+            std::shared_lock<SharedMutex> mlk(mem_mu_);
+            if (const Record* r = tree_->FindInMemtables(info.key)) {
+              live = !r->is_tombstone() && r->payload == want;
+              probed = true;
             }
-            if (!probed) {
-              auto cur = tree_->GetFromLevels(info.key);
-              live = cur.ok() && cur.value() == want;
-            }
-          } else {
-            auto cur = tree_->Get(info.key);
+          }
+          if (!probed) {
+            auto cur = tree_->GetFromLevels(info.key);
             live = cur.ok() && cur.value() == want;
           }
         }
@@ -1727,17 +1703,16 @@ void Db::SetMaxDeviceBlocks(uint64_t max_blocks) {
     std::unique_lock<SharedMutex> tlk(tree_mu_);
     device_->set_max_blocks(max_blocks);
   }
-  if (dbopts_.background_compaction) {
-    // A raised cap may unwedge a ResourceExhausted compaction: clear the
-    // sticky error and kick the worker so queued memtables drain again.
-    {
-      std::lock_guard<std::mutex> clk(comp_mu_);
-      compaction_error_ = Status::OK();
-      compaction_scheduled_ = true;
-    }
-    comp_cv_.notify_all();
-    stall_cv_.notify_all();
+  // A raised cap may unwedge a ResourceExhausted compaction: clear the
+  // sticky error and kick the workers so queued memtables drain again.
+  // (An inline writer simply retries its drain on its next op.)
+  {
+    std::lock_guard<std::mutex> clk(comp_mu_);
+    compaction_error_ = Status::OK();
+    compaction_scheduled_ = true;
   }
+  comp_cv_.notify_all();
+  stall_cv_.notify_all();
 }
 
 Status Db::WriteManifestAtomically(const std::string& data) {
@@ -1816,8 +1791,6 @@ DbStats Db::Stats() const {
     s.throttle_micros = throttle_micros_;
     s.stall_events = stall_events_;
     s.stall_micros = stall_micros_;
-    s.compaction_rate_pauses = rate_pauses_;
-    s.compaction_rate_pause_micros = rate_pause_micros_;
     s.stall_latency = stall_hist_;
   }
   return s;
@@ -1865,10 +1838,7 @@ std::string DbStats::ToString() const {
          " throttle_events=" + std::to_string(throttle_events) +
          " throttle_micros=" + std::to_string(throttle_micros) +
          " stall_events=" + std::to_string(stall_events) +
-         " stall_micros=" + std::to_string(stall_micros) +
-         " rate_pauses=" + std::to_string(compaction_rate_pauses) +
-         " rate_pause_micros=" + std::to_string(compaction_rate_pause_micros) +
-         "\n";
+         " stall_micros=" + std::to_string(stall_micros) + "\n";
   out += "stall_latency_us: " + stall_latency.ToString() + "\n";
   return out;
 }

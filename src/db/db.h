@@ -26,7 +26,6 @@
 #include "src/storage/vlog_file.h"
 #include "src/storage/io_stats.h"
 #include "src/util/histogram.h"
-#include "src/util/rate_limiter.h"
 #include "src/util/shared_mutex.h"
 #include "src/util/status.h"
 #include "src/util/statusor.h"
@@ -108,17 +107,19 @@ struct DbOptions {
   bool create_if_missing = true;  ///< Open fails on a missing dir if false.
   bool error_if_exists = false;   ///< Open fails on an existing Db if true.
 
-  /// Take merges off the write path: Put/Delete land in the WAL and the
-  /// active memtable only; when the memtable fills it is *sealed* onto a
-  /// bounded queue of immutable memtables, and a dedicated background
-  /// compaction thread drains the queue one bounded merge step at a
-  /// time, publishing each step atomically under the exclusive tree
-  /// lock. Writers never wait for a merge unless the
-  /// queue backs up — then they are first throttled (see
-  /// compaction_slowdown_depth) and finally stalled until the worker
-  /// frees a slot (counted and timed in DbStats). Default off: the inline
-  /// paper-faithful write path, where the writer that overflows L0 runs
-  /// the whole merge cascade before its op returns.
+  /// Who runs compaction. In both modes Put/Delete land in the WAL and
+  /// the active memtable only; a full memtable is *sealed* onto a queue
+  /// of immutable memtables, which compaction drains one bounded step at
+  /// a time (LsmTree::BackgroundCompactStep's order: flush, then merge
+  /// the shallowest overflowing level). When true, a background worker
+  /// pool runs the steps, publishing each atomically under the exclusive
+  /// tree lock; writers never wait for a merge unless the queue backs up
+  /// — then they are first throttled (see compaction_slowdown_depth) and
+  /// finally stalled until a worker frees a slot (counted and timed in
+  /// DbStats). Default off: the writer that seals the memtable runs the
+  /// steps itself, until none is left, before its op returns. Off, the
+  /// memtable plus L0 buffer hold under 2 * K0 * B records between ops
+  /// (each below K0 * B), twice LsmTree::Put's K0 * B bound.
   bool background_compaction = false;
 
   /// Hard bound on queued sealed memtables (>= 1). A writer that must
@@ -138,21 +139,6 @@ struct DbOptions {
   /// long merge, and no two workers ever write the same level.
   size_t compaction_workers = 1;
 
-  /// Token-bucket cap on the aggregate background merge write rate, in
-  /// data blocks per second; 0 = unpaced (previous behavior). Merge steps
-  /// charge the bucket as they write and the worker sleeps off any debt
-  /// *between* steps with no locks held, smoothing merge I/O over time
-  /// instead of emitting it in bursts (the write-latency-variance
-  /// pathology of unthrottled compaction; see DESIGN.md). Fairness: the
-  /// pacing pause is skipped while the sealed queue is at or past
-  /// compaction_slowdown_depth — when writers are already being
-  /// throttled, merges run at full speed to drain the backlog.
-  uint64_t compaction_rate_limit_blocks_per_sec = 0;
-
-  /// Bucket capacity for the rate limiter, in blocks; bounds how large a
-  /// burst an idle period can buy. 0 = auto (max(64, limit/8)).
-  uint64_t compaction_rate_burst_blocks = 0;
-
   /// Soft backpressure: while the queue holds at least this many sealed
   /// memtables, every modification sleeps compaction_slowdown_micros
   /// before committing, slowing writers so the worker can catch up
@@ -161,10 +147,10 @@ struct DbOptions {
   uint64_t compaction_slowdown_micros = 200;
 
   /// Caps the device's simultaneously-live blocks; 0 = unlimited. When a
-  /// merge or memtable flush hits the cap it aborts atomically (the
-  /// pre-merge tree stays fully readable, zero blocks leak) and the
-  /// triggering Put/Delete returns ResourceExhausted — write backpressure,
-  /// not a poisoned Db. Raise at runtime with SetMaxDeviceBlocks().
+  /// merge hits the cap it aborts atomically (the pre-merge tree stays
+  /// fully readable, zero blocks leak) and the triggering Put/Delete
+  /// returns ResourceExhausted — write backpressure, not a poisoned Db.
+  /// Raise at runtime with SetMaxDeviceBlocks().
   uint64_t max_device_blocks = 0;
 
   /// Background scrub cadence: every `scrub_interval_ms` of maintenance-
@@ -219,20 +205,19 @@ struct DbStats {
   /// triggered merge was rolled back).
   uint64_t write_backpressure_events = 0;
 
-  // Background compaction (all zero when background_compaction is off).
+  // Compaction. Seals, flushes, merges and step time count in both
+  // modes (the inline writer runs the same steps the workers do); the
+  // throttle and stall counters stay zero when background_compaction is
+  // off, since an inline writer never waits for a worker.
   uint64_t memtables_sealed = 0;     ///< Active memtables moved to the queue.
-  uint64_t background_flushes = 0;   ///< Worker steps draining a sealed memtable.
-  uint64_t background_merges = 0;    ///< Worker steps merging an on-SSD level.
+  uint64_t background_flushes = 0;   ///< Steps draining a sealed memtable.
+  uint64_t background_merges = 0;    ///< Steps merging out of a level.
   uint64_t compaction_queue_depth = 0;  ///< Sealed memtables queued right now.
-  uint64_t compaction_micros = 0;    ///< Worker wall time inside merge steps.
+  uint64_t compaction_micros = 0;    ///< Wall time inside compaction steps.
   uint64_t throttle_events = 0;      ///< Ops delayed by the soft slowdown.
   uint64_t throttle_micros = 0;
   uint64_t stall_events = 0;         ///< Ops that hit the hard queue-full stall.
   uint64_t stall_micros = 0;
-  /// Pacing pauses the rate limiter imposed on merge workers (zero when
-  /// compaction_rate_limit_blocks_per_sec is 0).
-  uint64_t compaction_rate_pauses = 0;
-  uint64_t compaction_rate_pause_micros = 0;
   /// Per-op hard-stall wait times in microseconds (only stalled ops are
   /// recorded; an empty histogram means no writer ever hit the wall). For
   /// a sharded Db this is the *merge* of every shard's histogram
@@ -348,8 +333,9 @@ class Db {
   /// memtable queued, no worker step running, no kick pending. Returns
   /// the worker's sticky error if compaction is wedged (e.g.
   /// ResourceExhausted on a full device) instead of waiting forever.
-  /// No-op (OK) when background_compaction is off. Benches and tests use
-  /// it to quiesce before measuring or checking invariants.
+  /// No-op (OK) when background_compaction is off: there every writer
+  /// drains before it returns. Benches and tests use it to quiesce
+  /// before measuring or checking invariants.
   Status WaitForCompaction();
 
   // ---- Integrity -----------------------------------------------------
@@ -485,7 +471,8 @@ class Db {
   /// consistent and deadlock-free).
   std::unique_ptr<Iterator> ShardedNewIterator() const;
 
-  /// WAL-append + tree apply under the commit lock, group-commit sync per
+  /// WAL-append + memtable apply under the commit lock (plus the inline
+  /// drain when background_compaction is off), group-commit sync per
   /// policy, then trigger/run the auto-checkpoint if the threshold
   /// tripped.
   Status Apply(const Record& record);
@@ -536,6 +523,23 @@ class Db {
   /// sticky error (without applying the op) when compaction is wedged.
   Status MaybeSealOrStallLocked(std::unique_lock<std::mutex>& lk);
 
+  /// Moves the active memtable onto the sealed queue, publishes the new
+  /// depth and counts the seal. Requires mem_mu_ held exclusively.
+  void SealActiveMemtableLocked();
+
+  /// Inline mode's compaction: when there is work, seals a full active
+  /// memtable and runs LsmTree::BackgroundCompactStep until kNone, under
+  /// exclusive tree_mu_ + mem_mu_. Called by the committing writer (db_mu_
+  /// held) and by WAL replay in Open (before any other thread exists), so
+  /// in either case nothing else mutates the tree. Returns the failing
+  /// step's error; the next call retries the drain.
+  Status DrainCompactionLocked();
+
+  /// Publishes one finished step under comp_mu_: counters, queue depth,
+  /// step time, and the sticky compaction_error_ (cleared by progress).
+  void RecordCompactionStep(const Status& st, LsmTree::CompactStep step,
+                            bool popped, uint64_t micros);
+
   /// Worker: drains the pipeline one step at a time until there is no
   /// work, updating the comp_mu_ counters and waking stalled writers
   /// after every step. Runs WITHOUT db_mu_ (a stalled writer holds it);
@@ -560,12 +564,6 @@ class Db {
   /// nothing and returns false if any is taken. Requires comp_mu_.
   bool TryClaimLevelsLocked(size_t lo, size_t hi);
   void ReleaseLevelsLocked(size_t lo, size_t hi);
-
-  /// Pays off the rate limiter's token debt after a merge step: sleeps
-  /// (bounded, off every lock) on comp_cv_ until the debt is covered —
-  /// or returns early when the sealed queue gets deep (fairness: merges
-  /// yield their pacing to flush pressure) or the Db is stopping.
-  void PaceMergeRate();
 
   /// One background scrub batch: picks the next scrub_batch_blocks live
   /// blocks after the round-robin cursor and verifies them under the
@@ -668,13 +666,13 @@ class Db {
   //          leader fsyncs and while a checkpoint writes the manifest.
   // tree_mu_ on-SSD tree + device-metadata lock: Get/Scan/iterators hold
   //          it shared; level mutations and deferred-free recycling hold
-  //          it exclusive. Inline-mode writers take it exclusive per op
-  //          (always while also holding db_mu_); background-mode writers
-  //          never take it — only compaction workers do, one merge step
-  //          per exclusive hold (level publication stays serialized even
-  //          with compaction_workers > 1). Writer-preferring so tight
-  //          read loops cannot starve commits (std::shared_mutex on
-  //          glibc would).
+  //          it exclusive. Writers never take it for their apply. An
+  //          inline-mode writer takes it exclusive (with mem_mu_) only
+  //          for its drain; in background mode only compaction workers
+  //          take it, one merge step per exclusive hold (level
+  //          publication stays serialized even with compaction_workers >
+  //          1). Writer-preferring so tight read loops cannot starve
+  //          commits (std::shared_mutex on glibc would).
   // mem_mu_  memory-resident state lock: the active memtable's contents,
   //          the sealed-queue structure, and flush absorption into the
   //          tree's L0 buffer (a flush step runs entirely under mem_mu_
@@ -683,15 +681,15 @@ class Db {
   //          in-memory apply and for sealing; readers hold it shared for
   //          the memtable probe (and for an iterator's whole lifetime).
   //          This is the split that takes merges off the write path: a
-  //          writer needs only db_mu_ + mem_mu_, a merge step needs
-  //          tree_mu_ — they never contend. The L0 buffer's contents are
+  //          writer's apply needs only db_mu_ + mem_mu_, a merge step
+  //          needs tree_mu_. The L0 buffer's contents are
   //          mutated either under [mem_mu_ exclusive + claim on level 0]
   //          (flush) or [tree_mu_ exclusive + claim on level 0] (L0
-  //          spill); readers snapshotting it hold tree_mu_ AND mem_mu_
-  //          shared.
+  //          spill) — or, by the inline drain, under both exclusive;
+  //          readers snapshotting it hold tree_mu_ AND mem_mu_ shared.
   // comp_mu_ leaf lock (never held while acquiring any other): compaction
   //          queue depth, worker state, the per-level ownership table
-  //          (level_claims_), stall/throttle/pacing counters. Guards
+  //          (level_claims_), seal/step/stall/throttle counters. Guards
   //          stall_cv_, on which stalled writers wait *while holding
   //          db_mu_* — which is why workers must not touch db_mu_
   //          between steps.
@@ -716,7 +714,7 @@ class Db {
   bool checkpoint_in_progress_ = false;
   bool sync_in_progress_ = false;     ///< A group-commit leader is fsyncing.
 
-  // Background-compaction state (under comp_mu_).
+  // Compaction state (under comp_mu_).
   size_t sealed_queued_ = 0;      ///< Sealed memtables awaiting drain.
   size_t active_compaction_workers_ = 0;  ///< Workers inside RunCompactionSteps.
   bool compaction_scheduled_ = false;  ///< Kicked, no worker started on it yet.
@@ -740,14 +738,7 @@ class Db {
   uint64_t throttle_micros_ = 0;
   uint64_t stall_events_ = 0;
   uint64_t stall_micros_ = 0;
-  uint64_t rate_pauses_ = 0;        ///< Merge pacing pauses taken.
-  uint64_t rate_pause_micros_ = 0;  ///< Time merge workers spent pacing.
   LatencyHistogram stall_hist_;
-
-  /// Token bucket charged by merge block-writes (set on the tree at
-  /// Open when compaction_rate_limit_blocks_per_sec > 0), drained by
-  /// PaceMergeRate between worker steps.
-  std::unique_ptr<RateLimiter> merge_rate_limiter_;
 
   // Group-commit bookkeeping (under db_mu_). Sequence numbers count WAL
   // entries appended since open; they survive rotation (unlike the

@@ -9,8 +9,8 @@ void AppendDbFlagNames(std::vector<std::string_view>* known) {
       "sync-n",          "checkpoint-wal-mb",
       "background-compaction", "shards",
       "scrub-interval-ms", "max-device-blocks",
-      "compaction-workers", "compaction-rate-limit",
-      "vlog-threshold",    "vlog-gc-ratio",
+      "compaction-workers", "vlog-threshold",
+      "vlog-gc-ratio",
   };
   for (std::string_view n : kNames) known->push_back(n);
 }
@@ -65,10 +65,6 @@ StatusOr<DbOptions> DbOptionsFromFlags(const FlagMap& flags,
   if (dbopts.compaction_workers == 0) {
     return Status::InvalidArgument("--compaction-workers must be >= 1");
   }
-  // Merge block-writes per second; 0 = unlimited (burst stays at the
-  // DbOptions auto default).
-  LSMSSD_ASSIGN_OR_RETURN(dbopts.compaction_rate_limit_blocks_per_sec,
-                          FlagUint(flags, "compaction-rate-limit", 0));
 
   LSMSSD_ASSIGN_OR_RETURN(dbopts.shards, FlagUint(flags, "shards", 1));
   if (dbopts.shards == 0) {

@@ -302,18 +302,9 @@ bool Db::TrySealActiveMemtable() {
   }
   {
     std::unique_lock<SharedMutex> mlk(mem_mu_);
-    const uint64_t n = tree_->active_memtable_records();
-    if (n == 0) return false;
-    tree_->SealMemtable();
-    mem_sealed_records_.fetch_add(n, std::memory_order_relaxed);
-    mem_active_records_.store(0, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> clk(comp_mu_);
-    ++sealed_queued_;
-    ++memtables_sealed_;
-    compaction_scheduled_ = true;
+    if (tree_->active_memtable_records() == 0) return false;
+    SealActiveMemtableLocked();
   }
-  // notify_all: comp_cv_ also carries rate-limiter pacing waiters, which a
-  // deepening queue must interrupt (see Db::PaceMergeRate).
   comp_cv_.notify_all();
   return true;
 }
@@ -389,8 +380,6 @@ DbStats Db::ShardedStats() const {
     agg.throttle_micros += s.throttle_micros;
     agg.stall_events += s.stall_events;
     agg.stall_micros += s.stall_micros;
-    agg.compaction_rate_pauses += s.compaction_rate_pauses;
-    agg.compaction_rate_pause_micros += s.compaction_rate_pause_micros;
     agg.stall_latency.Merge(s.stall_latency);
   }
   std::sort(agg.quarantined_blocks.begin(), agg.quarantined_blocks.end());

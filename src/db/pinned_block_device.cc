@@ -119,6 +119,7 @@ Status PinnedBlockDevice::FreeBlock(BlockId id) {
       return Status::NotFound("double free of pinned block " +
                               std::to_string(id));
     }
+    deferred_count_.store(deferred_.size(), std::memory_order_relaxed);
     // Logically freed now; the physical slot recycles once no manifest
     // (durable or in flight) references it.
     stats_.RecordFree();
@@ -162,6 +163,7 @@ Status PinnedBlockDevice::CommitCheckpoint() {
     }
     it = deferred_.erase(it);
   }
+  deferred_count_.store(deferred_.size(), std::memory_order_relaxed);
   return first_error;
 }
 

@@ -1,6 +1,7 @@
 #ifndef LSMSSD_DB_PINNED_BLOCK_DEVICE_H_
 #define LSMSSD_DB_PINNED_BLOCK_DEVICE_H_
 
+#include <atomic>
 #include <mutex>
 #include <unordered_set>
 #include <vector>
@@ -83,8 +84,11 @@ class PinnedBlockDevice : public BlockDevice {
   /// across the whole publish.
   Status Commit(const std::vector<BlockId>& new_pinned);
 
-  /// Blocks whose free is currently deferred (tests/introspection).
-  size_t deferred_frees() const { return deferred_.size(); }
+  /// Blocks whose free is currently deferred (tests/introspection). Safe
+  /// to call without the tree lock: the count is kept in an atomic.
+  size_t deferred_frees() const {
+    return deferred_count_.load(std::memory_order_relaxed);
+  }
 
   /// Snapshot of the quarantine: every block id that has failed checksum
   /// verification (on a read or a scrub) since open. Quarantined ids are
@@ -119,6 +123,9 @@ class PinnedBlockDevice : public BlockDevice {
   std::unordered_set<BlockId> checkpoint_pinned_;
   bool checkpoint_active_ = false;
   std::unordered_set<BlockId> deferred_;  ///< Freed by the tree, still pinned.
+  /// deferred_.size(), readable by Db::Stats() under no tree lock (merges
+  /// free blocks under the exclusive tree lock alone).
+  std::atomic<size_t> deferred_count_{0};
   /// Quarantine has its own lock: corruption is discovered on the *read*
   /// path, where concurrent Db readers hold only the shared tree lock.
   mutable std::mutex quarantine_mu_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-
 #include "src/lsm/merge.h"
 #include "src/util/logging.h"
 
@@ -111,12 +110,9 @@ uint64_t LsmTree::sealed_records() const {
 }
 
 bool LsmTree::HasCompactionWork() const {
-  if (!sealed_.empty()) return true;
-  if (L0BufferOverflowing()) return true;
-  for (size_t i = 1; i < num_levels(); ++i) {
-    if (LevelOverflowing(i)) return true;
-  }
-  return false;
+  // A backlogged buffer defers the flush but is itself a merge source.
+  const CompactPlan plan = PlanCompaction();
+  return plan.flush || !plan.merge_sources.empty();
 }
 
 bool LsmTree::L0BufferOverflowing() const {
@@ -135,9 +131,8 @@ Status LsmTree::FlushSealedStep(Memtable* m) {
   // device I/O. Newest wins: `m` is newer than everything the buffer
   // already holds (it absorbed only earlier seals), so plain Put/Delete
   // overwrite is correct. Records leave memory only when the buffer
-  // itself overflows (MergeOverflowStep), through the same policy-
-  // windowed L0 merges the inline path runs against its memtable — which
-  // is what keeps amortized block writes equal to inline mode. Draining
+  // itself overflows (MergeSourceStep(0)), through the same policy-
+  // windowed L0 merges Put runs against the active memtable. Draining
   // each sealed memtable straight to L1 instead (windowed or bulk) costs
   // 4-5x the blocks: windows pay ~one target-block rewrite per record on
   // the ever-sparser tail, and a bulk merge rewrites the whole target.
@@ -157,16 +152,22 @@ bool LsmTree::PopSealedIfDrained() {
   return true;
 }
 
-std::vector<size_t> LsmTree::OverflowingMergeSources() const {
+LsmTree::CompactPlan LsmTree::PlanCompaction(bool include_merges) const {
+  CompactPlan plan;
+  // Sealed memtables first: they bound the write path's queue, and a
+  // flush is pure memory (see FlushSealedStep) ... unless the buffer is
+  // backlogged: then merges go first so the buffer stays bounded and the
+  // full queue throttles the writers.
+  plan.flush = !sealed_.empty() && !L0BufferBacklogged();
+  if (!include_merges) return plan;
   // The L0 buffer is the shallowest "level": it spills a policy-selected
-  // window once it reaches K0 capacity, exactly like the inline path's
-  // overflow test on its memtable.
-  std::vector<size_t> sources;
-  if (L0BufferOverflowing()) sources.push_back(0);
+  // window once it reaches K0 capacity, like Put's overflow test on the
+  // active memtable.
+  if (L0BufferOverflowing()) plan.merge_sources.push_back(0);
   for (size_t i = 1; i < num_levels(); ++i) {
-    if (LevelOverflowing(i)) sources.push_back(i);
+    if (LevelOverflowing(i)) plan.merge_sources.push_back(i);
   }
-  return sources;
+  return plan;
 }
 
 StatusOr<LsmTree::CompactStep> LsmTree::MergeSourceStep(size_t source) {
@@ -187,27 +188,16 @@ StatusOr<LsmTree::CompactStep> LsmTree::MergeSourceStep(size_t source) {
   return CompactStep::kMerge;
 }
 
-StatusOr<LsmTree::CompactStep> LsmTree::MergeOverflowStep() {
-  const std::vector<size_t> sources = OverflowingMergeSources();
-  if (sources.empty()) return CompactStep::kNone;
-  return MergeSourceStep(sources.front());
-}
-
 StatusOr<LsmTree::CompactStep> LsmTree::BackgroundCompactStep() {
-  // Sealed memtables first: they bound the write path's queue, and a
-  // flush step fully absorbs the front one into the L0 buffer (pure
-  // memory — see FlushSealedStep), so the pop below always fires. Device
-  // I/O happens only in MergeOverflowStep once the buffer overflows.
-  // ... unless the buffer is backlogged: then merges go first so the
-  // buffer stays bounded and the full queue throttles the writers.
-  if (!L0BufferBacklogged()) {
-    if (Memtable* front = FrontSealed()) {
-      LSMSSD_RETURN_IF_ERROR(FlushSealedStep(front));
-      PopSealedIfDrained();
-      return CompactStep::kFlush;
-    }
+  const CompactPlan plan = PlanCompaction();
+  if (plan.flush) {
+    // A flush step fully absorbs the front memtable, so the pop fires.
+    LSMSSD_RETURN_IF_ERROR(FlushSealedStep(FrontSealed()));
+    PopSealedIfDrained();
+    return CompactStep::kFlush;
   }
-  return MergeOverflowStep();
+  if (plan.merge_sources.empty()) return CompactStep::kNone;
+  return MergeSourceStep(plan.merge_sources.front());
 }
 
 const Record* LsmTree::FindInMemtables(Key key) const {
@@ -309,7 +299,7 @@ Status LsmTree::ExecuteMerge(size_t source_level) {
   Level* target = mutable_level(target_index);
   const bool bottom = IsBottomLevel(target_index);
   MergeExecutor executor(options_, device_, target, bottom,
-                         options_.preserve_blocks, merge_rate_limiter_);
+                         options_.preserve_blocks);
 
   MergeSource source;
   // L0 input is *copied* out of the memtable and erased only after the
@@ -373,7 +363,8 @@ uint64_t LsmTree::ApproximateDataBytes() const {
 Status LsmTree::CheckInvariants(bool deep) const {
   for (size_t i = 1; i < num_levels(); ++i) {
     LSMSSD_RETURN_IF_ERROR(level(i).CheckInvariants(deep));
-    // Levels may only exceed capacity transiently inside MaybeMerge.
+    // Levels exceed capacity only transiently: inside MaybeMerge, or
+    // between compaction steps, before the caller has run them to kNone.
     if (level(i).size_blocks() > LevelCapacityBlocks(i)) {
       return Status::Internal("level above capacity at rest");
     }

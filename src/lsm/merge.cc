@@ -133,13 +133,12 @@ class VectorStream : public InputStream {
 
 MergeExecutor::MergeExecutor(const Options& options, BlockDevice* device,
                              Level* target, bool target_is_bottom,
-                             bool preserve_blocks, RateLimiter* rate_limiter)
+                             bool preserve_blocks)
     : options_(options),
       device_(device),
       target_(target),
       target_is_bottom_(target_is_bottom),
-      preserve_blocks_(preserve_blocks),
-      rate_limiter_(rate_limiter) {
+      preserve_blocks_(preserve_blocks) {
   LSMSSD_CHECK(device != nullptr);
   LSMSSD_CHECK(target != nullptr);
 }
@@ -250,7 +249,6 @@ StatusOr<MergeResult> MergeExecutor::MergeBody(MergeSource source,
     std::vector<BlockId> ids;
     ids.reserve(pending_data.size());
     LSMSSD_RETURN_IF_ERROR(device_->WriteBlocks(pending_data, &ids));
-    if (rate_limiter_ != nullptr) rate_limiter_->Charge(ids.size());
     for (size_t i = 0; i < ids.size(); ++i) {
       z[pending_z[i]].block = ids[i];
       scratch->owned.push_back(ids[i]);
@@ -279,7 +277,6 @@ StatusOr<MergeResult> MergeExecutor::MergeBody(MergeSource source,
     }
     auto id_or = device_->WriteNewBlock(builder.Finish());
     if (!id_or.ok()) return id_or.status();
-    if (rate_limiter_ != nullptr) rate_limiter_->Charge(1);
     meta.block = id_or.value();
     scratch->owned.push_back(meta.block);
     z.push_back(meta);
@@ -417,7 +414,6 @@ StatusOr<MergeResult> MergeExecutor::MergeBody(MergeSource source,
       auto id_or =
           device_->WriteNewBlock(EncodeRecordBlock(options_, combined));
       if (!id_or.ok()) return id_or.status();
-      if (rate_limiter_ != nullptr) rate_limiter_->Charge(1);
       scratch->owned.push_back(id_or.value());
       const LeafMeta meta = MakeLeafMeta(options_, combined, id_or.value());
       z.push_back(meta);

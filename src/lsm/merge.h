@@ -8,7 +8,6 @@
 #include "src/format/record.h"
 #include "src/lsm/level.h"
 #include "src/storage/block_device.h"
-#include "src/util/rate_limiter.h"
 #include "src/util/status.h"
 #include "src/util/statusor.h"
 
@@ -82,14 +81,8 @@ class MergeExecutor {
   /// tombstone dropping (a delete reaching the lowest level has nothing
   /// left to cancel). `preserve_blocks` toggles the block-preserving
   /// optimization (off reproduces the paper's "-P" policy variants).
-  /// `rate_limiter` (optional) is charged one token per output data-block
-  /// write as the merge produces them. Charging never blocks — the debt is
-  /// slept off by the compaction worker *between* steps, with no locks
-  /// held — so enabling the limiter changes merge cadence, never block
-  /// layout, block counts, or the paper's write-cost metrics.
   MergeExecutor(const Options& options, BlockDevice* device, Level* target,
-                bool target_is_bottom, bool preserve_blocks,
-                RateLimiter* rate_limiter = nullptr);
+                bool target_is_bottom, bool preserve_blocks);
 
   /// Runs the merge. On success the source range has been removed from its
   /// level (L0 sources are already drained by the caller) and the target
@@ -124,7 +117,6 @@ class MergeExecutor {
   Level* target_;
   bool target_is_bottom_;
   bool preserve_blocks_;
-  RateLimiter* rate_limiter_;  ///< May be null (unpaced).
 };
 
 }  // namespace lsmssd

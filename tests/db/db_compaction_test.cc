@@ -1,7 +1,8 @@
-// Background compaction pipeline at the Db layer: writes land in WAL +
-// active memtable and merges run on the maintenance thread. These tests
-// exercise sealing, queue backpressure, wedge/unwedge, checkpoint/recovery
-// interplay with queued memtables, and equivalence with the inline path.
+// Compaction pipeline at the Db layer: writes land in WAL + active
+// memtable, and merges run on the worker pool (background mode) or on the
+// writer that sealed the memtable (inline mode). These tests exercise
+// sealing, queue backpressure, wedge/unwedge, checkpoint/recovery
+// interplay with queued memtables, and equivalence of the two modes.
 
 #include <unistd.h>
 
@@ -95,15 +96,12 @@ TEST(DbCompactionTest, ThrottleCollapsesOnceQueueDrains) {
   }
 }
 
-TEST(DbCompactionTest, ParallelWorkersDrainWithRateLimit) {
-  // Multiple workers + the merge rate limiter: contents, invariants, and
-  // idle semantics (WaitForCompaction waits out pacing pauses too) all
-  // hold. Burst 1 forces real debt so PaceMergeRate actually runs.
+TEST(DbCompactionTest, ParallelWorkersDrain) {
+  // Multiple workers: contents, invariants, and idle semantics
+  // (WaitForCompaction returns only once every worker is done) all hold.
   DbOptions dbopts = BgDbOptions();
   dbopts.compaction_workers = 3;
   dbopts.compaction_queue_depth = 2;
-  dbopts.compaction_rate_limit_blocks_per_sec = 5000;
-  dbopts.compaction_rate_burst_blocks = 1;
   auto db_or = Db::Open(dbopts, FreshDir("parworkers"));
   ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
   Db& db = *db_or.value();
@@ -134,9 +132,7 @@ TEST(DbCompactionTest, ParallelWorkersDrainWithRateLimit) {
       EXPECT_EQ(v.value(), it->second) << k;
     }
   }
-  const DbStats stats = db.Stats();
-  EXPECT_EQ(stats.compaction_queue_depth, 0u);
-  EXPECT_NE(stats.ToString().find("rate_pauses="), std::string::npos);
+  EXPECT_EQ(db.Stats().compaction_queue_depth, 0u);
 }
 
 TEST(DbCompactionTest, WritesReadableWhileWorkerDrains) {
@@ -205,6 +201,91 @@ TEST(DbCompactionTest, MatchesInlineModeContents) {
   ASSERT_TRUE(bg_or.value()->Scan(0, 1000, &a).ok());
   ASSERT_TRUE(in_or.value()->Scan(0, 1000, &b).ok());
   EXPECT_EQ(a, b);
+}
+
+TEST(DbCompactionTest, InlineModeDrainsEveryOpToRest) {
+  // Inline mode runs the background pipeline's steps on the writer: after
+  // every op the sealed queue is empty, the L0 buffer is below K0 * B,
+  // and every level is within capacity — the paper's at-rest shape. The
+  // memory held is bounded too: active memtable plus L0 buffer stay
+  // under 2 * K0 * B records (LsmTree::Put holds at most K0 * B).
+  DbOptions dbopts = BgDbOptions();
+  dbopts.background_compaction = false;
+  auto db_or = Db::Open(dbopts, FreshDir("inlinerest"));
+  ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
+  Db& db = *db_or.value();
+  const Options& options = dbopts.options;
+  const uint64_t k0_records =
+      options.level0_capacity_blocks * options.records_per_block();
+
+  std::map<Key, std::string> oracle;
+  Random rng(20261017);
+  for (int i = 0; i < 1500; ++i) {
+    const Key k = rng.Uniform(400);
+    if (rng.Uniform(5) == 0) {
+      ASSERT_TRUE(db.Delete(k).ok());
+      oracle.erase(k);
+    } else {
+      const std::string payload = MakePayload(options, k + i);
+      ASSERT_TRUE(db.Put(k, payload).ok());
+      oracle[k] = payload;
+    }
+    ASSERT_EQ(db.tree()->sealed_count(), 0u) << "op " << i;
+    ASSERT_LT(db.tree()->l0_buffer_records(), k0_records) << "op " << i;
+    ASSERT_LT(db.tree()->active_memtable_records() +
+                  db.tree()->l0_buffer_records(),
+              2 * k0_records)
+        << "op " << i;
+    ASSERT_TRUE(db.tree()->CheckInvariants(/*deep=*/true).ok()) << "op " << i;
+  }
+
+  const DbStats stats = db.Stats();
+  EXPECT_GT(stats.memtables_sealed, 0u);
+  EXPECT_EQ(stats.background_flushes, stats.memtables_sealed);
+  EXPECT_GT(stats.background_merges, 0u);
+  EXPECT_EQ(stats.compaction_queue_depth, 0u);
+  std::vector<std::pair<Key, std::string>> got;
+  ASSERT_TRUE(db.Scan(0, 1000, &got).ok());
+  const std::vector<std::pair<Key, std::string>> want(oracle.begin(),
+                                                      oracle.end());
+  EXPECT_EQ(got, want);
+}
+
+TEST(DbCompactionTest, WedgedInlineWriterRetriesDrainOnNextOp) {
+  // A full device wedges an inline writer's drain. Each later op retries
+  // the drain itself and reports the backpressure again — it never waits
+  // for a worker (no stall, no throttle) — and the first op after the cap
+  // is lifted drains back to rest.
+  DbOptions dbopts = BgDbOptions();
+  dbopts.background_compaction = false;
+  dbopts.max_device_blocks = 2;  // Far too small for any L0 spill.
+  auto db_or = Db::Open(dbopts, FreshDir("inlinewedge"));
+  ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
+  Db& db = *db_or.value();
+
+  Key next = 0;
+  Status st;
+  for (; next < 1000 && st.ok(); ++next) {
+    st = db.Put(next, MakePayload(dbopts.options, next));
+  }
+  ASSERT_TRUE(st.IsResourceExhausted()) << st.ToString();
+  EXPECT_FALSE(db.failed());
+  for (int retry = 0; retry < 3; ++retry, ++next) {
+    const uint64_t events = db.Stats().write_backpressure_events;
+    EXPECT_TRUE(
+        db.Put(next, MakePayload(dbopts.options, next)).IsResourceExhausted());
+    EXPECT_EQ(db.Stats().write_backpressure_events, events + 1);
+  }
+  EXPECT_EQ(db.Stats().stall_events, 0u);
+  EXPECT_EQ(db.Stats().throttle_events, 0u);
+
+  db.SetMaxDeviceBlocks(0);
+  ASSERT_TRUE(db.Put(next, MakePayload(dbopts.options, next)).ok());
+  EXPECT_EQ(db.tree()->sealed_count(), 0u);
+  ASSERT_TRUE(db.tree()->CheckInvariants(/*deep=*/true).ok());
+  for (Key k = 0; k <= next; ++k) {
+    ASSERT_TRUE(db.Get(k).ok()) << "key " << k;
+  }
 }
 
 TEST(DbCompactionTest, ReopenRecoversAckedWritesIncludingQueuedOnes) {

@@ -119,7 +119,6 @@ TEST_F(DbOptionsFromFlagsTest, DefaultsAreServingDefaults) {
   EXPECT_EQ(o.checkpoint_wal_bytes, 8u * 1024 * 1024);
   EXPECT_FALSE(o.background_compaction);
   EXPECT_EQ(o.compaction_workers, 1u);
-  EXPECT_EQ(o.compaction_rate_limit_blocks_per_sec, 0u);
   EXPECT_EQ(o.shards, 1u);
   EXPECT_EQ(o.scrub_interval_ms, 0u);
   EXPECT_EQ(o.max_device_blocks, 0u);
@@ -134,8 +133,7 @@ TEST_F(DbOptionsFromFlagsTest, AllFlagsReachTheirFields) {
   auto dbopts_or = Build({"--policy=TestMixed", "--bloom=10",
                           "--cache-blocks=32", "--sync=always",
                           "--checkpoint-wal-mb=2", "--background-compaction",
-                          "--compaction-workers=3",
-                          "--compaction-rate-limit=5000", "--shards=4",
+                          "--compaction-workers=3", "--shards=4",
                           "--scrub-interval-ms=50", "--max-device-blocks=999",
                           "--vlog-threshold=128", "--vlog-gc-ratio=0.4"});
   ASSERT_TRUE(dbopts_or.ok()) << dbopts_or.status().message();
@@ -147,7 +145,6 @@ TEST_F(DbOptionsFromFlagsTest, AllFlagsReachTheirFields) {
   EXPECT_EQ(o.checkpoint_wal_bytes, 2u * 1024 * 1024);
   EXPECT_TRUE(o.background_compaction);
   EXPECT_EQ(o.compaction_workers, 3u);
-  EXPECT_EQ(o.compaction_rate_limit_blocks_per_sec, 5000u);
   EXPECT_EQ(o.shards, 4u);
   EXPECT_EQ(o.scrub_interval_ms, 50u);
   EXPECT_EQ(o.max_device_blocks, 999u);
@@ -172,7 +169,6 @@ TEST_F(DbOptionsFromFlagsTest, BadValuesAreInvalidArgumentNamingTheFlag) {
       {{"--background-compaction=maybe"}, "background-compaction"},
       {{"--compaction-workers=0"}, "compaction-workers"},
       {{"--compaction-workers=many"}, "compaction-workers"},
-      {{"--compaction-rate-limit=fast"}, "compaction-rate-limit"},
       {{"--vlog-threshold=8"}, "vlog-threshold"},    // <= pointer size.
       {{"--vlog-threshold=16"}, "vlog-threshold"},   // == pointer size.
       {{"--vlog-threshold=lots"}, "vlog-threshold"},

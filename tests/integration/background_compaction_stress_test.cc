@@ -235,12 +235,12 @@ TEST(BackgroundCompactionStressTest, WritersReadersMatchSerialOracle) {
 TEST(BackgroundCompactionStressTest, ParallelWorkersMatchSerialOracle) {
   // The worker-pool variant: three compaction workers race over the
   // ownership table — flushes (under mem_mu_ + claim{0}) overlap merges
-  // (under tree_mu_ + claim{s,s+1}) — with the merge rate limiter on
-  // (burst 1 forces real pacing pauses, and their fairness bypass when the
-  // shallow queue deepens). Under TSan this is the data-race check for
-  // the parallel-compaction locking layer; the oracle + recovery check
-  // catches lost or misordered L0-buffer mutations (e.g. a flush shifting
-  // record positions under an in-flight spill's erase range).
+  // (under tree_mu_ + claim{s,s+1}) — against a shallow queue that keeps
+  // writers at the throttle and stall walls. Under TSan this is the
+  // data-race check for the parallel-compaction locking layer; the
+  // oracle + recovery check catches lost or misordered L0-buffer
+  // mutations (e.g. a flush shifting record positions under an in-flight
+  // spill's erase range).
   DbOptions dbopts;
   dbopts.options = TinyOptions();
   dbopts.wal_sync_mode = WalSyncMode::kEveryN;
@@ -252,8 +252,6 @@ TEST(BackgroundCompactionStressTest, ParallelWorkersMatchSerialOracle) {
   dbopts.compaction_queue_depth = 2;  // Even shallower: constant pressure.
   dbopts.compaction_slowdown_depth = 1;
   dbopts.compaction_slowdown_micros = 50;
-  dbopts.compaction_rate_limit_blocks_per_sec = 20'000;
-  dbopts.compaction_rate_burst_blocks = 1;
   RunStressAgainstOracle(FreshDir("parallel"), dbopts, 8'000);
 }
 

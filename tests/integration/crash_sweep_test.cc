@@ -141,6 +141,10 @@ void SweepMode(const char* tag, WalSyncMode mode) {
   FaultInjector injector;
   DbOptions dbopts;
   dbopts.options = TinyOptions();
+  // A one-block L0 seals the memtable every B distinct keys, so the
+  // workload's 20-key cycle crosses seals, flushes and L0-buffer spills
+  // and the sweep kills the process at their block writes too.
+  dbopts.options.level0_capacity_blocks = 1;
   dbopts.wal_sync_mode = mode;
   // 7 does not divide any checkpoint's entry count, so in kEveryN mode a
   // checkpoint always finds unsynced appends beyond the last group
@@ -228,6 +232,7 @@ void SweepBackgroundCompaction(const char* tag, WalSyncMode mode,
   FaultInjector injector;
   DbOptions dbopts;
   dbopts.options = TinyOptions();
+  dbopts.options.level0_capacity_blocks = 1;  // Seals + spills; see SweepMode.
   dbopts.wal_sync_mode = mode;
   dbopts.wal_sync_every_n = 7;
   dbopts.checkpoint_wal_bytes = 1000;  // Auto-checkpoints mid-workload.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/util/random.h"
 #include "tests/test_util.h"
 
 namespace lsmssd {
@@ -298,6 +299,48 @@ TEST(BackgroundCompactTest, MatchesInlinePathContents) {
   ASSERT_TRUE(inline_fx.tree->Scan(0, 1000, &a).ok());
   ASSERT_TRUE(bg_fx.tree->Scan(0, 1000, &b).ok());
   EXPECT_EQ(a, b);
+}
+
+TEST(BackgroundCompactTest, DrainPathWritesNoMoreBlocksThanPut) {
+  // Db's inline mode commits with PutNoMerge, seals a full memtable and
+  // runs BackgroundCompactStep until kNone, instead of Put's MaybeMerge
+  // cascade. That swap must cost the paper's metric nothing: on the same
+  // seeded workload the drain path writes no more blocks than Put, and
+  // every level is back within capacity after each drain. The counts are
+  // deterministic (in-memory device, seeded keys).
+  struct Case {
+    uint64_t k0_blocks;
+    Key key_space;
+    uint64_t seed;
+  };
+  for (const Case& c : {Case{4, 2'000, 1}, Case{4, 20'000, 2},
+                        Case{25, 2'000, 3}, Case{25, 20'000, 4}}) {
+    SCOPED_TRACE("K0=" + std::to_string(c.k0_blocks) +
+                 " key_space=" + std::to_string(c.key_space));
+    Options options = TinyOptions();
+    options.level0_capacity_blocks = c.k0_blocks;
+    TreeFixture put_fx(options, PolicyKind::kChooseBest);
+    TreeFixture drain_fx(options, PolicyKind::kChooseBest);
+    Random rng(c.seed);
+    for (int i = 0; i < 40'000; ++i) {
+      const Key key = rng.Uniform(c.key_space);
+      ASSERT_TRUE(put_fx.Put(key).ok());
+      ASSERT_TRUE(
+          drain_fx.tree->PutNoMerge(key, MakePayload(options, key)).ok());
+      if (!drain_fx.tree->MemtableAtCapacity()) continue;
+      drain_fx.tree->SealMemtable();
+      for (;;) {
+        auto step = drain_fx.tree->BackgroundCompactStep();
+        ASSERT_TRUE(step.ok()) << step.status().ToString();
+        if (step.value() == LsmTree::CompactStep::kNone) break;
+      }
+      ASSERT_TRUE(drain_fx.tree->CheckInvariants().ok()) << "op " << i;
+    }
+    const uint64_t put_blocks = put_fx.device.stats().block_writes();
+    const uint64_t drain_blocks = drain_fx.device.stats().block_writes();
+    ASSERT_GT(put_blocks, 0u);
+    EXPECT_LE(drain_blocks, put_blocks);
+  }
 }
 
 TEST(BackgroundCompactTest, MemtableSnapshotConsolidatesNewestWins) {

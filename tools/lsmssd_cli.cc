@@ -11,7 +11,7 @@
 //                  [--sync=always|everyn|none] [--sync-n=64]
 //                  [--checkpoint-wal-mb=8] [--threads=1]
 //                  [--background-compaction] [--compaction-workers=1]
-//                  [--compaction-rate-limit=0] [--shards=1]
+//                  [--shards=1]
 //                  [--scrub-interval-ms=0] [--max-device-blocks=0]
 //       Persistent mode: open (or crash-recover) the Db at DIR, apply n
 //       workload requests through the WAL, checkpoint on exit, and print
@@ -20,14 +20,13 @@
 //       (each with its own workload stream seeded seed+t), exercising
 //       the Db's group commit and background checkpointing.
 //       --background-compaction moves flushes and merges off the write
-//       path onto a compaction thread (default off, keeping the
-//       historical inline behaviour); the stats line then reports queue
-//       depth, throttle/stall counts, and the stall-latency histogram.
+//       path onto a compaction thread (default off: the writer that
+//       seals a full memtable runs the same steps itself); the stats
+//       line then reports queue depth, throttle/stall counts, and the
+//       stall-latency histogram.
 //       --compaction-workers=N runs N compaction threads (flushes and
 //       merges of disjoint levels in parallel, coordinated by per-level
-//       ownership); --compaction-rate-limit=B paces merge block-writes
-//       to B blocks/sec through a token bucket that always yields to
-//       writer backpressure (0 = unlimited).
+//       ownership).
 //       --shards=N hash-partitions keys over N independent LSM shards
 //       (each with its own WAL, device file, and compaction worker); the
 //       layout is recorded in DIR/SHARDS, so later runs may omit the
@@ -322,8 +321,8 @@ int CmdRunDb(const Flags& flags) {
     for (std::thread& w : workers) w.join();
     if (!ok.load()) return 1;
   }
-  // Drain the compaction queue before the final checkpoint: a paced or
-  // busy worker pool may still hold sealed memtables, and the one-shot
+  // Drain the compaction queue before the final checkpoint: a busy
+  // worker pool may still hold sealed memtables, and the one-shot
   // run contract is queue_depth=0 in the exit stats.
   if (Status st = db.WaitForCompaction(); !st.ok()) {
     std::cerr << "compaction drain failed: " << st.ToString() << "\n";
