@@ -351,13 +351,11 @@ WindowedLatency MeasureLatencyOverTime(size_t workers, double dataset_mb,
 
 void AppendWindowedJson(std::string* out, const WindowedLatency& r,
                         bool first) {
-  // rate_limit_blocks_per_sec stays in the schema, always 0: every run is
-  // unpaced, and the variance gate still checks the baseline is.
   char buf[512];
   std::snprintf(
       buf, sizeof(buf),
-      "%s    {\"workers\": %zu, \"rate_limit_blocks_per_sec\": 0, "
-      "\"ops\": %llu, \"p99_us\": %.3f, \"windows\": %zu, "
+      "%s    {\"workers\": %zu, \"ops\": %llu, \"p99_us\": %.3f, "
+      "\"windows\": %zu, "
       "\"window_p99_mean_us\": %.3f, \"window_p99_stddev_us\": %.3f, "
       "\"window_p99_max_us\": %.3f, \"elapsed_s\": %.3f, "
       "\"blocks_written\": %llu, \"stall_events\": %llu}",

@@ -1,13 +1,18 @@
 // Microbenchmarks (google-benchmark) of the hot primitives underneath the
 // merge engine: block encode/decode, memtable ops, leaf-directory lookup,
-// the ChooseBest metadata scan, and the LRU cache. These quantify the CPU
-// overhead that Section V reports as 2%-16% of total request time.
+// the ChooseBest metadata scan, the LRU cache, and a short range scan
+// through a Db iterator. These quantify the CPU overhead that Section V
+// reports as 2%-16% of total request time.
 
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
+#include "src/db/db.h"
 #include "src/format/record_block.h"
 #include "src/format/record_block_view.h"
 #include "src/lsm/level.h"
@@ -223,6 +228,72 @@ void BM_TreeGetWarmCache(benchmark::State& state) {
   state.counters["bloom_skips"] = static_cast<double>(stats.bloom_skips());
 }
 BENCHMARK(BM_TreeGetWarmCache);
+
+void BM_DbScan50(benchmark::State& state) {
+  // One short range scan through Db::NewIterator: Seek to a random key,
+  // then 50 Next calls — the shape of a YCSB-E SCAN. The store has three
+  // on-SSD levels plus ~800 records in the active memtable and the L0
+  // buffer, so every step merges two ordered maps with three level
+  // cursors. Geometry matches the repository benchmark (1 KiB blocks,
+  // 4-byte keys, 40-byte payloads, K0 = 25, Γ = 10, 1 MiB cache, Bloom
+  // filters); compaction runs inline and nothing writes while timing.
+  DbOptions dbopts;
+  Options& options = dbopts.options;
+  options.block_size = 1024;
+  options.key_size = 4;
+  options.payload_size = 40;
+  options.level0_capacity_blocks = 25;
+  options.gamma = 10.0;
+  options.delta = 0.07;
+  options.cache_blocks = 1024;
+  options.bloom_bits_per_key = 10;
+  dbopts.wal_sync_mode = WalSyncMode::kNone;
+  dbopts.checkpoint_wal_bytes = 0;
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("lsmssd_micro_scan_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+  auto db_or = Db::Open(dbopts, dir);
+  LSMSSD_CHECK(db_or.ok()) << db_or.status().ToString();
+  Db& db = *db_or.value();
+  const std::string payload(options.payload_size, 'x');
+  Random rng(13);
+  constexpr Key kKeySpace = 1'000'000;
+  for (int i = 0; i < 80'000; ++i) {
+    LSMSSD_CHECK(db.Put(rng.Uniform(kKeySpace) + 1, payload).ok());
+  }
+  // Top the memory-resident records up to ~800 (a spill can only lower
+  // the count, so this ends).
+  auto in_memory = [&db] {
+    return db.tree()->active_memtable_records() +
+           db.tree()->l0_buffer_records();
+  };
+  while (in_memory() < 800) {
+    LSMSSD_CHECK(db.Put(rng.Uniform(kKeySpace) + 1, payload).ok());
+  }
+  LSMSSD_CHECK_EQ(db.tree()->num_levels(), 4u);  // L0 + three on SSD.
+  const size_t memory_records = in_memory();
+
+  std::unique_ptr<Iterator> it = db.NewIterator();
+  uint64_t records = 0;
+  for (auto _ : state) {
+    it->Seek(rng.Uniform(kKeySpace) + 1);
+    for (int i = 0; i < 50 && it->Valid(); ++i) {
+      benchmark::DoNotOptimize(it->value().data());
+      ++records;
+      it->Next();
+    }
+  }
+  LSMSSD_CHECK(it->status().ok());
+  it.reset();  // Releases the Db's read locks before Close.
+  state.SetItemsProcessed(static_cast<int64_t>(records));
+  state.counters["memory_records"] = static_cast<double>(memory_records);
+  db.Close();
+  db_or.value().reset();
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_DbScan50);
 
 void BM_ChooseBestScan(benchmark::State& state) {
   // The paper's Section III-C CPU overhead: one simultaneous metadata scan

@@ -10,12 +10,17 @@
 namespace lsmssd {
 
 /// Forward iterator over the live (non-deleted, consolidated) records of
-/// an LSM tree, in key order. Obtained from LsmTree::NewIterator(); the
-/// tree must not be modified while an iterator is open. Iterators from
-/// Db::NewIterator() enforce that themselves by holding the Db's shared
-/// tree lock for their lifetime (writers wait until the iterator is
-/// destroyed); bare-tree callers must not mutate the tree while
-/// iterating.
+/// an LSM tree, in key order. Obtained from LsmTree::NewIterator().
+///
+/// Contract: an LsmTree iterator is invalidated by *any* mutation of the
+/// tree or of its memtables — Put/Delete, a seal, a flush or merge step.
+/// It holds positions inside the memtables' ordered maps, so using it
+/// afterwards (even Seek) is undefined behaviour; debug builds
+/// LSMSSD_DCHECK a per-memtable mutation counter to catch it.
+/// Iterators from Db::NewIterator() are safe: they hold the Db's tree
+/// lock (tree_mu_) and memtable lock (mem_mu_) shared for their lifetime,
+/// so writers wait until the iterator is destroyed. Bare-tree callers
+/// must destroy the iterator before mutating the tree.
 ///
 /// Usage:
 ///   auto it = tree.NewIterator();
@@ -41,6 +46,8 @@ class Iterator {
   virtual void Next() = 0;
 
   virtual Key key() const = 0;
+  /// The current record's payload. The reference stays valid until the
+  /// iterator moves (Seek/SeekToFirst/Next) or is destroyed.
   virtual const std::string& value() const = 0;
 
   /// Non-OK if an I/O or corruption error interrupted iteration; the

@@ -127,20 +127,6 @@ Status Level::Lookup(Key key, Record* out) const {
   return Status::OK();
 }
 
-Status Level::CollectRange(Key lo, Key hi, std::vector<Record>* out) const {
-  const auto [begin, end] = OverlapRange(lo, hi);
-  for (size_t i = begin; i < end; ++i) {
-    auto leaf_or = ReadLeafView(i);
-    if (!leaf_or.ok()) return leaf_or.status();
-    const RecordBlockView& view = leaf_or.value().view;
-    for (size_t s = view.LowerBound(lo); s < view.size(); ++s) {
-      if (view.key_at(s) > hi) break;
-      out->push_back(view.record_at(s));
-    }
-  }
-  return Status::OK();
-}
-
 std::pair<size_t, size_t> Level::OverlapRange(Key lo, Key hi) const {
   const size_t begin = LowerBoundLeaf(lo);
   size_t end = begin;

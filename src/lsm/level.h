@@ -101,9 +101,6 @@ class Level {
   /// NotFound if the level has no record for the key.
   Status Lookup(Key key, Record* out) const;
 
-  /// Appends all records with keys in [lo, hi] to *out in key order.
-  Status CollectRange(Key lo, Key hi, std::vector<Record>* out) const;
-
   /// Half-open leaf index range [first, second) of leaves whose key ranges
   /// intersect [lo, hi].
   std::pair<size_t, size_t> OverlapRange(Key lo, Key hi) const;

@@ -6,11 +6,27 @@
 
 namespace lsmssd {
 
+Memtable::Memtable(Memtable&& other) noexcept
+    : entries_(std::move(other.entries_)) {
+  other.NoteMutation();
+}
+
+Memtable& Memtable::operator=(Memtable&& other) noexcept {
+  entries_ = std::move(other.entries_);
+  NoteMutation();
+  other.NoteMutation();
+  return *this;
+}
+
 void Memtable::Put(Key key, std::string payload) {
+  NoteMutation();
   entries_[key] = Record::Put(key, std::move(payload));
 }
 
-void Memtable::Delete(Key key) { entries_[key] = Record::Tombstone(key); }
+void Memtable::Delete(Key key) {
+  NoteMutation();
+  entries_[key] = Record::Tombstone(key);
+}
 
 const Record* Memtable::Get(Key key) const {
   auto it = entries_.find(key);
@@ -48,6 +64,7 @@ std::vector<Record> Memtable::Slice(size_t begin, size_t count) const {
 std::vector<Record> Memtable::Extract(size_t begin, size_t count) {
   std::vector<Record> out;
   if (begin >= entries_.size()) return out;
+  NoteMutation();
   count = std::min(count, entries_.size() - begin);
   out.reserve(count);
   auto it = entries_.begin();
@@ -61,6 +78,7 @@ std::vector<Record> Memtable::Extract(size_t begin, size_t count) {
 
 void Memtable::EraseRange(size_t begin, size_t count) {
   if (begin >= entries_.size()) return;
+  NoteMutation();
   count = std::min(count, entries_.size() - begin);
   auto it = entries_.begin();
   std::advance(it, static_cast<ptrdiff_t>(begin));
@@ -68,6 +86,7 @@ void Memtable::EraseRange(size_t begin, size_t count) {
 }
 
 std::vector<Record> Memtable::ExtractAll() {
+  NoteMutation();
   std::vector<Record> out;
   out.reserve(entries_.size());
   for (auto& [key, record] : entries_) out.push_back(std::move(record));
@@ -78,13 +97,6 @@ std::vector<Record> Memtable::ExtractAll() {
 size_t Memtable::UpperBoundIndex(Key key) const {
   auto it = entries_.upper_bound(key);
   return static_cast<size_t>(std::distance(entries_.begin(), it));
-}
-
-void Memtable::CollectRange(Key lo, Key hi, std::vector<Record>* out) const {
-  for (auto it = entries_.lower_bound(lo);
-       it != entries_.end() && it->first <= hi; ++it) {
-    out->push_back(it->second);
-  }
 }
 
 }  // namespace lsmssd

@@ -2,6 +2,7 @@
 #define LSMSSD_LSM_MEMTABLE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -17,6 +18,8 @@ namespace lsmssd {
 class Memtable {
  public:
   Memtable() = default;
+  Memtable(Memtable&& other) noexcept;
+  Memtable& operator=(Memtable&& other) noexcept;
 
   /// Logs an insert/update.
   void Put(Key key, std::string payload);
@@ -58,14 +61,39 @@ class Memtable {
   /// RR cursor resumes).
   size_t UpperBoundIndex(Key key) const;
 
-  /// Records in [lo, hi], appended to *out in key order (for scans).
-  void CollectRange(Key lo, Key hi, std::vector<Record>* out) const;
+  /// Ordered-map positions for scans (see MemtableCursor): LowerBound is
+  /// the first entry with key >= `key`. A position stays valid only until
+  /// the memtable is next mutated (any of the non-const members above,
+  /// being moved from, or being assigned to).
+  using const_iterator = std::map<Key, Record>::const_iterator;
+  const_iterator LowerBound(Key key) const { return entries_.lower_bound(key); }
+  const_iterator end() const { return entries_.end(); }
+
+  /// Number of mutations so far, counted in debug builds only (always 0
+  /// under NDEBUG): a cursor LSMSSD_DCHECKs that the memtable did not
+  /// change under it.
+  uint64_t mutations() const {
+#ifndef NDEBUG
+    return mutations_;
+#else
+    return 0;
+#endif
+  }
 
  private:
-  // Ordered map gives O(log n) point ops; index-based slicing walks
-  // iterators (L0 is small — thousands of entries — so this is cheap
-  // relative to merge I/O).
+  void NoteMutation() {
+#ifndef NDEBUG
+    ++mutations_;
+#endif
+  }
+
+  // Ordered map gives O(log n) point ops and scan positions; index-based
+  // slicing walks iterators (L0 is small — thousands of entries — so this
+  // is cheap relative to merge I/O).
   std::map<Key, Record> entries_;
+#ifndef NDEBUG
+  uint64_t mutations_ = 0;
+#endif
 };
 
 }  // namespace lsmssd

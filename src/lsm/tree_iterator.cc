@@ -1,11 +1,14 @@
 // LsmTree::NewIterator(): a k-way merge across L0 and every on-SSD level,
 // with upper levels shadowing lower ones and tombstones suppressed.
 //
-// Level cursors walk the zero-copy leaf views (Level::ReadLeafView): key
-// comparisons and tombstone checks read the encoded block in place, and a
-// Record is materialized only for the winning source of each yielded key.
+// Nothing is allocated per record: a memtable cursor is a std::map
+// position (Seek is one lower_bound, Next one ++it), a level cursor walks
+// the zero-copy leaf view (Level::ReadLeafView; only a leaf change reads a
+// block), key comparisons and tombstone checks read the map node or the
+// encoded block in place, and the merged iterator copies only the winning
+// payload, into one reused string. Nothing materializes a Record.
 
-#include <algorithm>
+#include <string_view>
 #include <vector>
 
 #include "src/lsm/iterator.h"
@@ -16,85 +19,86 @@ namespace lsmssd {
 
 namespace {
 
-/// Cursor over one source (the memtable or one level), exposing entries in
+/// Cursor over one source (a memtable or one level), exposing entries in
 /// key order including tombstones. The merged iterator consolidates.
-/// key()/is_tombstone() are allocation-free; record() materializes.
+/// Valid()/key() read the cached position; payload() views the entry in
+/// place and stays valid until the cursor moves.
 class SourceCursor {
  public:
   virtual ~SourceCursor() = default;
-  virtual bool Valid() const = 0;
+  bool Valid() const { return valid_; }
+  Key key() const {
+    LSMSSD_DCHECK(valid_);
+    return key_;
+  }
   virtual Status SeekToFirst() = 0;
   virtual Status Seek(Key target) = 0;
   virtual Status Next() = 0;
-  virtual Key key() const = 0;
   virtual bool is_tombstone() const = 0;
-  virtual Record record() const = 0;
+  virtual std::string_view payload() const = 0;
+
+ protected:
+  bool valid_ = false;
+  Key key_ = 0;
 };
 
 class MemtableCursor : public SourceCursor {
  public:
-  explicit MemtableCursor(const Memtable* memtable) : memtable_(memtable) {}
-
-  bool Valid() const override { return valid_; }
+  explicit MemtableCursor(const Memtable* memtable)
+      : memtable_(memtable), mutations_(memtable->mutations()) {}
 
   Status SeekToFirst() override { return Seek(0); }
 
   Status Seek(Key target) override {
-    // Memtable exposes sorted positions; reuse the slice API to avoid
-    // widening its interface: position = count of keys < target.
-    index_ = memtable_->UpperBoundIndex(target);
-    // UpperBoundIndex returns first key > target; step back if the
-    // previous key equals target.
-    if (index_ > 0) {
-      const auto prev = memtable_->Slice(index_ - 1, 1);
-      if (!prev.empty() && prev.front().key == target) --index_;
-    }
-    return Load();
+    CheckUnchanged();
+    it_ = memtable_->LowerBound(target);
+    Load();
+    return Status::OK();
   }
 
   Status Next() override {
-    ++index_;
-    return Load();
-  }
-
-  Key key() const override {
     LSMSSD_DCHECK(valid_);
-    return current_.key;
+    CheckUnchanged();
+    ++it_;
+    Load();
+    return Status::OK();
   }
 
   bool is_tombstone() const override {
     LSMSSD_DCHECK(valid_);
-    return current_.is_tombstone();
+    CheckUnchanged();
+    return it_->second.is_tombstone();
   }
 
-  Record record() const override {
+  std::string_view payload() const override {
     LSMSSD_DCHECK(valid_);
-    return current_;
+    CheckUnchanged();
+    return it_->second.payload;
   }
 
  private:
-  Status Load() {
-    auto slice = memtable_->Slice(index_, 1);
-    valid_ = !slice.empty();
-    if (valid_) current_ = std::move(slice.front());
-    return Status::OK();
+  void Load() {
+    valid_ = it_ != memtable_->end();
+    if (valid_) key_ = it_->first;
+  }
+
+  /// A map position dies with any mutation of its memtable (see
+  /// Iterator): debug builds catch a tree changed under an open iterator.
+  void CheckUnchanged() const {
+    LSMSSD_DCHECK(memtable_->mutations() == mutations_);
   }
 
   const Memtable* memtable_;
-  size_t index_ = 0;
-  bool valid_ = false;
-  Record current_;
+  Memtable::const_iterator it_;
+  const uint64_t mutations_;  // memtable_->mutations() at construction.
 };
 
 class LevelCursor : public SourceCursor {
  public:
   explicit LevelCursor(const Level* level) : level_(level) {}
 
-  bool Valid() const override { return valid_; }
-
   Status SeekToFirst() override {
     leaf_index_ = 0;
-    pos_ = 0;
     return LoadLeaf();
   }
 
@@ -106,11 +110,11 @@ class LevelCursor : public SourceCursor {
       if (!valid_) return Status::OK();
       pos_ = leaf_.view.LowerBound(target);
       if (pos_ >= leaf_.view.size()) return AdvanceLeaf();
+      key_ = leaf_.view.key_at(pos_);
       return Status::OK();
     }
     // No leaf contains target: the first leaf starting after it (if any).
     leaf_index_ = begin;  // OverlapRange's begin == first leaf with max >= target.
-    pos_ = 0;
     return LoadLeaf();
   }
 
@@ -118,12 +122,8 @@ class LevelCursor : public SourceCursor {
     LSMSSD_DCHECK(valid_);
     ++pos_;
     if (pos_ >= leaf_.view.size()) return AdvanceLeaf();
+    key_ = leaf_.view.key_at(pos_);
     return Status::OK();
-  }
-
-  Key key() const override {
-    LSMSSD_DCHECK(valid_);
-    return leaf_.view.key_at(pos_);
   }
 
   bool is_tombstone() const override {
@@ -131,33 +131,35 @@ class LevelCursor : public SourceCursor {
     return leaf_.view.is_tombstone_at(pos_);
   }
 
-  Record record() const override {
+  std::string_view payload() const override {
     LSMSSD_DCHECK(valid_);
-    return leaf_.view.record_at(pos_);
+    return leaf_.view.payload_at(pos_);
   }
 
  private:
   Status AdvanceLeaf() {
     ++leaf_index_;
-    pos_ = 0;
     return LoadLeaf();
   }
 
+  /// Positions on the first entry of leaf `leaf_index_` (invalid past the
+  /// last leaf).
   Status LoadLeaf() {
     valid_ = false;
+    pos_ = 0;
     leaf_ = LeafView{};
     if (leaf_index_ >= level_->num_leaves()) return Status::OK();
     auto leaf_or = level_->ReadLeafView(leaf_index_);
     if (!leaf_or.ok()) return leaf_or.status();
     leaf_ = std::move(leaf_or).value();
     valid_ = !leaf_.view.empty();
+    if (valid_) key_ = leaf_.view.key_at(0);
     return Status::OK();
   }
 
   const Level* level_;
   size_t leaf_index_ = 0;
   size_t pos_ = 0;
-  bool valid_ = false;
   LeafView leaf_;
 };
 
@@ -187,18 +189,18 @@ class MergedIterator : public Iterator {
 
   void Next() override {
     LSMSSD_CHECK(Valid());
-    if (!AdvancePast(current_.key)) return;
+    if (!AdvancePast(key_)) return;
     FindNextLive();
   }
 
   Key key() const override {
     LSMSSD_DCHECK(Valid());
-    return current_.key;
+    return key_;
   }
 
   const std::string& value() const override {
     LSMSSD_DCHECK(Valid());
-    return current_.payload;
+    return value_;
   }
 
   Status status() const override { return status_; }
@@ -224,7 +226,8 @@ class MergedIterator : public Iterator {
   }
 
   /// Consolidates the current minimum across sources; skips tombstones.
-  /// Only the winner of a live key materializes a Record.
+  /// Only the winner of a live key copies its payload, into value_'s
+  /// existing buffer.
   void FindNextLive() {
     for (;;) {
       const SourceCursor* winner = nullptr;
@@ -239,7 +242,8 @@ class MergedIterator : public Iterator {
         return;
       }
       if (!winner->is_tombstone()) {
-        current_ = winner->record();
+        key_ = winner->key();
+        value_.assign(winner->payload());
         valid_ = true;
         return;
       }
@@ -248,7 +252,8 @@ class MergedIterator : public Iterator {
   }
 
   std::vector<std::unique_ptr<SourceCursor>> sources_;
-  Record current_;
+  Key key_ = 0;
+  std::string value_;
   bool valid_ = false;
   Status status_;
 };

@@ -644,14 +644,19 @@ std::string Server::HandleRequest(const Frame& frame) {
             Status::FailedPrecondition("db is in a failed state"));
         break;
       }
-      std::vector<ScanItem> items;
-      for (it->Seek(lo);
-           it->Valid() && it->key() <= hi && items.size() < cap;
+      // Stream each item from the iterator straight into the body.
+      const size_t count_offset = BeginScanResponse(&body);
+      uint32_t count = 0;
+      for (it->Seek(lo); it->Valid() && it->key() <= hi && count < cap;
            it->Next()) {
-        items.push_back(ScanItem{it->key(), it->value()});
+        AppendScanItem(&body, it->key(), it->value());
+        ++count;
       }
-      body = it->status().ok() ? EncodeScanResponse(items)
-                               : EncodeErrorResponse(it->status());
+      if (it->status().ok()) {
+        FinishScanResponse(&body, count_offset, count);
+      } else {
+        body = EncodeErrorResponse(it->status());
+      }
       break;
     }
     case Opcode::kStats:

@@ -298,14 +298,30 @@ std::string EncodeEmptyOkResponse() {
 
 std::string EncodeScanResponse(const std::vector<ScanItem>& items) {
   std::string p;
-  p.push_back(static_cast<char>(WireError::kOk));
-  AppendU32(&p, static_cast<uint32_t>(items.size()));
-  for (const ScanItem& item : items) {
-    AppendWireKey(&p, item.key);
-    AppendU32(&p, static_cast<uint32_t>(item.value.size()));
-    p.append(item.value);
-  }
+  const size_t count_offset = BeginScanResponse(&p);
+  for (const ScanItem& item : items) AppendScanItem(&p, item.key, item.value);
+  FinishScanResponse(&p, count_offset, static_cast<uint32_t>(items.size()));
   return p;
+}
+
+size_t BeginScanResponse(std::string* payload) {
+  payload->push_back(static_cast<char>(WireError::kOk));
+  const size_t count_offset = payload->size();
+  AppendU32(payload, 0);
+  return count_offset;
+}
+
+void AppendScanItem(std::string* payload, Key key, std::string_view value) {
+  AppendWireKey(payload, key);
+  AppendU32(payload, static_cast<uint32_t>(value.size()));
+  payload->append(value);
+}
+
+void FinishScanResponse(std::string* payload, size_t count_offset,
+                        uint32_t count) {
+  std::string le;
+  AppendU32(&le, count);
+  payload->replace(count_offset, le.size(), le);
 }
 
 std::string EncodeStatsResponse(std::string_view text) {

@@ -193,6 +193,15 @@ bool ParseRetryAfterMs(std::string_view message, uint32_t* retry_after_ms);
 std::string EncodeGetResponse(std::string_view value);
 std::string EncodeEmptyOkResponse();
 std::string EncodeScanResponse(const std::vector<ScanItem>& items);
+/// The scan body streamed item by item, byte-identical to
+/// EncodeScanResponse: BeginScanResponse appends the OK code and a count
+/// placeholder to `*payload` and returns the placeholder's offset;
+/// AppendScanItem appends one (key, u32 length, value) triple; and
+/// FinishScanResponse writes the final item count at that offset.
+size_t BeginScanResponse(std::string* payload);
+void AppendScanItem(std::string* payload, Key key, std::string_view value);
+void FinishScanResponse(std::string* payload, size_t count_offset,
+                        uint32_t count);
 std::string EncodeStatsResponse(std::string_view text);
 
 /// Decodes the leading status of any response payload. On OK,

@@ -1,8 +1,8 @@
 #include "src/util/crc32c.h"
 
-#include <array>
+#include <cstring>
 
-#if defined(__SSE4_2__)
+#if defined(__x86_64__)
 #include <nmmintrin.h>
 #endif
 
@@ -48,25 +48,8 @@ inline uint32_t Load32(const uint8_t* p) {
 
 }  // namespace
 
-uint32_t Extend(uint32_t crc, const uint8_t* data, size_t n) {
+uint32_t ExtendPortable(uint32_t crc, const uint8_t* data, size_t n) {
   crc = ~crc;
-#if defined(__SSE4_2__)
-  // Hardware path: align to 8 bytes, then crc 8 bytes per instruction.
-  while (n > 0 && (reinterpret_cast<uintptr_t>(data) & 7) != 0) {
-    crc = _mm_crc32_u8(crc, *data++);
-    --n;
-  }
-  while (n >= 8) {
-    crc = static_cast<uint32_t>(_mm_crc32_u64(
-        crc, *reinterpret_cast<const uint64_t*>(data)));
-    data += 8;
-    n -= 8;
-  }
-  while (n > 0) {
-    crc = _mm_crc32_u8(crc, *data++);
-    --n;
-  }
-#else
   const Tables& tb = tables();
   while (n >= 8) {
     uint32_t lo = Load32(data) ^ crc;
@@ -82,8 +65,51 @@ uint32_t Extend(uint32_t crc, const uint8_t* data, size_t n) {
     crc = tb.t[0][(crc ^ *data++) & 0xFF] ^ (crc >> 8);
     --n;
   }
-#endif
   return ~crc;
+}
+
+#if defined(__x86_64__)
+
+// Compiled for SSE4.2 whatever the build's -m flags; only ever called
+// after HardwareAvailable() said the CPU has the instruction.
+__attribute__((target("sse4.2"))) uint32_t ExtendHardware(uint32_t crc,
+                                                          const uint8_t* data,
+                                                          size_t n) {
+  crc = ~crc;
+  // 8 bytes per instruction; x86 loads need no alignment.
+  while (n >= 8) {
+    uint64_t word = 0;
+    std::memcpy(&word, data, sizeof(word));
+    crc = static_cast<uint32_t>(_mm_crc32_u64(crc, word));
+    data += 8;
+    n -= 8;
+  }
+  while (n > 0) {
+    crc = _mm_crc32_u8(crc, *data++);
+    --n;
+  }
+  return ~crc;
+}
+
+bool HardwareAvailable() {
+  __builtin_cpu_init();  // May run before the CPU-model constructor.
+  return __builtin_cpu_supports("sse4.2");
+}
+
+#else
+
+uint32_t ExtendHardware(uint32_t crc, const uint8_t* data, size_t n) {
+  return ExtendPortable(crc, data, n);
+}
+
+bool HardwareAvailable() { return false; }
+
+#endif
+
+uint32_t Extend(uint32_t crc, const uint8_t* data, size_t n) {
+  static const bool kHardware = HardwareAvailable();
+  return kHardware ? ExtendHardware(crc, data, n)
+                   : ExtendPortable(crc, data, n);
 }
 
 }  // namespace crc32c

@@ -144,5 +144,107 @@ TEST(IteratorTest, ScanMatchesIterator) {
   EXPECT_EQ(scanned.size(), 101u);  // 100,102,...,300.
 }
 
+// Randomized oracle across every source kind the merged iterator reads:
+// on-SSD levels (at least two), the L0 buffer, sealed memtables and the
+// active memtable, each written in turn over one key space so overwrites
+// and tombstones shadow older versions across sources. Every Seek target
+// class (before the first key, exact live and deleted keys, between keys,
+// past the last key) is then walked step by step against a std::map.
+TEST(IteratorTest, RandomizedOracleAcrossEverySource) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    TreeFixture fx(TinyOptions(), PolicyKind::kChooseBest);
+    LsmTree& tree = *fx.tree;
+    Random rng(seed);
+    std::map<Key, std::string> model;
+    uint64_t version = 0;
+    // Odd keys only, so every even key is a "between keys" target.
+    auto random_key = [&rng] { return 2 * rng.Uniform(400) + 1; };
+    auto write = [&](bool cascade, int ops) {
+      for (int i = 0; i < ops; ++i) {
+        const Key k = random_key();
+        if (rng.Bernoulli(0.7)) {
+          const std::string payload =
+              MakePayload(fx.options_copy, k * 100000 + ++version);
+          ASSERT_TRUE((cascade ? tree.Put(k, payload)
+                               : tree.PutNoMerge(k, payload))
+                          .ok());
+          model[k] = payload;
+        } else {
+          ASSERT_TRUE((cascade ? tree.Delete(k) : tree.DeleteNoMerge(k)).ok());
+          model.erase(k);
+        }
+      }
+    };
+    // Oldest first: the levels, via Put's merge cascade...
+    write(/*cascade=*/true, 1500);
+    ASSERT_GE(tree.num_levels(), 3u);  // L0 + at least two on-SSD levels.
+    // ...then a sealed memtable flushed into the L0 buffer (no merge)...
+    write(/*cascade=*/false, 30);
+    tree.SealMemtable();
+    ASSERT_TRUE(tree.FlushSealedStep(tree.FrontSealed()).ok());
+    ASSERT_TRUE(tree.PopSealedIfDrained());
+    // ...then two sealed memtables left queued, then the active one.
+    for (int sealed = 0; sealed < 2; ++sealed) {
+      write(/*cascade=*/false, 30);
+      tree.SealMemtable();
+    }
+    write(/*cascade=*/false, 30);
+    ASSERT_GT(tree.l0_buffer_records(), 0u);
+    ASSERT_EQ(tree.sealed_count(), 2u);
+    ASSERT_GT(tree.active_memtable_records(), 0u);
+    ASSERT_FALSE(model.empty());
+
+    std::vector<Key> targets = {0, model.begin()->first,
+                                model.rbegin()->first,
+                                model.rbegin()->first + 1, 1000000};
+    for (int i = 0; i < 40; ++i) {
+      const Key k = random_key();
+      targets.push_back(k);      // Exact: live, deleted or never written.
+      targets.push_back(k + 1);  // Between keys.
+    }
+    auto it = tree.NewIterator();
+    for (Key target : targets) {
+      SCOPED_TRACE("seek " + std::to_string(target));
+      it->Seek(target);
+      auto ref = model.lower_bound(target);
+      for (int step = 0; step < 60 && ref != model.end(); ++step, ++ref) {
+        ASSERT_TRUE(it->Valid()) << "step " << step;
+        ASSERT_EQ(it->key(), ref->first) << "step " << step;
+        ASSERT_EQ(it->value(), ref->second) << "step " << step;
+        it->Next();
+      }
+      if (ref == model.end()) EXPECT_FALSE(it->Valid());
+      ASSERT_TRUE(it->status().ok());
+    }
+    // One full pass from the start.
+    auto ref = model.begin();
+    for (it->SeekToFirst(); it->Valid(); it->Next(), ++ref) {
+      ASSERT_NE(ref, model.end());
+      ASSERT_EQ(it->key(), ref->first);
+      ASSERT_EQ(it->value(), ref->second);
+    }
+    EXPECT_EQ(ref, model.end());
+    EXPECT_TRUE(it->status().ok());
+  }
+}
+
+#ifndef NDEBUG
+// The iterator holds positions inside the memtables' maps; a mutation of
+// the tree under an open iterator is a contract violation that debug
+// builds catch instead of walking freed or foreign map nodes.
+TEST(IteratorDeathTest, MutationUnderAnOpenIteratorIsCaught) {
+  TreeFixture fx(TinyOptions(), PolicyKind::kChooseBest);
+  for (Key k = 1; k <= 5; ++k) {
+    ASSERT_TRUE(fx.tree->PutNoMerge(k, MakePayload(fx.options_copy, k)).ok());
+  }
+  auto it = fx.tree->NewIterator();
+  it->SeekToFirst();
+  ASSERT_TRUE(it->Valid());
+  ASSERT_TRUE(fx.tree->PutNoMerge(9, MakePayload(fx.options_copy, 9)).ok());
+  EXPECT_DEATH(it->Next(), "mutations");
+}
+#endif
+
 }  // namespace
 }  // namespace lsmssd

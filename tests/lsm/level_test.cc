@@ -88,17 +88,6 @@ TEST_F(LevelTest, OverlapRange) {
   EXPECT_EQ(level.OverlapRange(19, 19), (std::pair<size_t, size_t>(0, 1)));
 }
 
-TEST_F(LevelTest, CollectRangeFiltersWithinLeaf) {
-  Level level(options_, &device_, 1);
-  AddLeaf(&level, {10, 20, 30});
-  AddLeaf(&level, {40, 50});
-  std::vector<Record> out;
-  ASSERT_TRUE(level.CollectRange(20, 40, &out).ok());
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].key, 20u);
-  EXPECT_EQ(out[2].key, 40u);
-}
-
 TEST_F(LevelTest, SpliceReplacesAndFrees) {
   Level level(options_, &device_, 1);
   AddLeaf(&level, {10, 19});

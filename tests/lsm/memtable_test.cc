@@ -100,17 +100,54 @@ TEST(MemtableTest, UpperBoundIndex) {
   EXPECT_EQ(m.UpperBoundIndex(99), 3u);
 }
 
-TEST(MemtableTest, CollectRangeInclusive) {
+TEST(MemtableTest, LowerBoundWalksEntriesInKeyOrder) {
   Memtable m;
-  for (Key k : {10, 20, 30, 40}) m.Put(k, "v");
+  for (Key k : {40, 10, 30, 20}) m.Put(k, "v");
   m.Delete(30);
-  std::vector<Record> out;
-  m.CollectRange(20, 30, &out);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].key, 20u);
-  EXPECT_EQ(out[1].key, 30u);
-  EXPECT_TRUE(out[1].is_tombstone());  // Tombstones included (caller filters).
+  EXPECT_EQ(m.LowerBound(5)->first, 10u);
+  EXPECT_EQ(m.LowerBound(20)->first, 20u);  // Exact key.
+  EXPECT_EQ(m.LowerBound(21)->first, 30u);  // Between keys.
+  EXPECT_TRUE(m.LowerBound(41) == m.end());
+  std::vector<Key> keys;
+  for (auto it = m.LowerBound(15); it != m.end(); ++it) {
+    keys.push_back(it->first);
+  }
+  EXPECT_EQ(keys, (std::vector<Key>{20, 30, 40}));
+  EXPECT_TRUE(m.LowerBound(30)->second.is_tombstone());  // Caller filters.
 }
+
+#ifndef NDEBUG
+TEST(MemtableTest, EveryMutationBumpsTheDebugCounter) {
+  Memtable m;
+  uint64_t last = m.mutations();
+  auto bumped = [&] {
+    const bool moved = m.mutations() > last;
+    last = m.mutations();
+    return moved;
+  };
+  m.Put(1, "a");
+  EXPECT_TRUE(bumped());
+  m.Put(1, "b");  // Overwrite.
+  EXPECT_TRUE(bumped());
+  m.Delete(2);
+  EXPECT_TRUE(bumped());
+  m.EraseRange(1, 1);
+  EXPECT_TRUE(bumped());
+  m.Put(3, "c");
+  last = m.mutations();
+  (void)m.Extract(0, 1);
+  EXPECT_TRUE(bumped());
+  (void)m.ExtractAll();
+  EXPECT_TRUE(bumped());
+  Memtable other(std::move(m));  // Moved from.
+  EXPECT_TRUE(bumped());
+  m = Memtable();  // Assigned to.
+  EXPECT_TRUE(bumped());
+  (void)m.Get(1);  // Reads never count.
+  (void)m.LowerBound(0);
+  EXPECT_FALSE(bumped());
+}
+#endif
 
 }  // namespace
 }  // namespace lsmssd

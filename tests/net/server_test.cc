@@ -17,6 +17,7 @@
 #include <condition_variable>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -348,6 +349,65 @@ TEST(ServerTest, ScanRespectsServerCap) {
   items.clear();
   ASSERT_TRUE(client->Scan(1, 30, 100, &items).ok());
   EXPECT_EQ(items.size(), 7u);  // Request above the cap truncates too.
+}
+
+// A SCAN ends at whichever bound comes first: the inclusive upper key
+// `hi`, the request's `limit`, or the server's max_scan_results. The data
+// spans the memtable and the on-SSD levels, with deletes and overwrites,
+// and every answer is checked against a model.
+TEST(ServerTest, ScanStopsAtHiLimitOrServerCapWhicheverComesFirst) {
+  ServerOptions sopts;
+  sopts.max_scan_results = 25;
+  ServerFixture fx("scanbounds", TinyDbOptions(), sopts);
+  auto client = fx.Connect();
+  const Options& options = fx.db->options();
+  std::map<Key, std::string> model;
+  for (Key k = 1; k <= 400; ++k) {
+    ASSERT_TRUE(client->Put(k, Payload(options, k)).ok());
+    model[k] = Payload(options, k);
+  }
+  for (Key k = 3; k <= 400; k += 7) {
+    ASSERT_TRUE(client->Delete(k).ok());
+    model.erase(k);
+  }
+  for (Key k = 5; k <= 400; k += 11) {
+    ASSERT_TRUE(client->Put(k, Payload(options, k + 1000)).ok());
+    model[k] = Payload(options, k + 1000);
+  }
+  ASSERT_GT(fx.db->Stats().background_merges, 0u);  // Levels hold data.
+
+  struct Case {
+    Key lo, hi;
+    uint32_t limit;
+    size_t want;  // Expected item count; which bound sets it is the point.
+  };
+  const Case cases[] = {
+      {10, 20, 0, 9},      // hi first: 10..20 minus deleted 10 and 17.
+      {10, 20, 4, 4},      // limit first.
+      {1, 400, 0, 25},     // server cap first (unlimited request).
+      {1, 400, 100, 25},   // cap below the request's limit.
+      {1, 400, 25, 25},    // limit == cap.
+      {1, 400, 24, 24},    // limit just under the cap.
+      {390, 1000, 0, 10},  // past the last key: ends at the data.
+      {3, 3, 0, 0},        // a single deleted key.
+      {4, 4, 0, 1},        // a single live key (hi inclusive).
+      {20, 10, 0, 0},      // inverted range.
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("lo=" + std::to_string(c.lo) + " hi=" +
+                 std::to_string(c.hi) + " limit=" + std::to_string(c.limit));
+    std::vector<ScanItem> items;
+    ASSERT_TRUE(client->Scan(c.lo, c.hi, c.limit, &items).ok());
+    EXPECT_EQ(items.size(), c.want);
+    auto ref = model.lower_bound(c.lo);
+    for (const ScanItem& item : items) {
+      ASSERT_NE(ref, model.end());
+      EXPECT_LE(item.key, c.hi);
+      EXPECT_EQ(item.key, ref->first);
+      EXPECT_EQ(item.value, ref->second);
+      ++ref;
+    }
+  }
 }
 
 TEST(ServerTest, ConcurrentClientsShareOneGroupCommit) {

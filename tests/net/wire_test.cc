@@ -203,8 +203,9 @@ TEST(WireRequestCodecTest, RoundTrips) {
   ASSERT_TRUE(DecodeGetRequest(EncodeGetRequest(42), &key));
   EXPECT_EQ(key, 42u);
 
-  std::string_view value;
-  ASSERT_TRUE(DecodePutRequest(EncodePutRequest(7, "abcd"), &key, &value));
+  std::string_view value;  // Views the payload, so keep it alive.
+  const std::string put = EncodePutRequest(7, "abcd");
+  ASSERT_TRUE(DecodePutRequest(put, &key, &value));
   EXPECT_EQ(key, 7u);
   EXPECT_EQ(value, "abcd");
 
@@ -235,7 +236,8 @@ TEST(WireRequestCodecTest, TruncatedPayloadsRejected) {
   for (size_t len = 0; len < sizeof(Key); ++len) {
     EXPECT_FALSE(DecodePutRequest(put.substr(0, len), &key, &value));
   }
-  ASSERT_TRUE(DecodePutRequest(put.substr(0, sizeof(Key) + 2), &key, &value));
+  const std::string put_prefix = put.substr(0, sizeof(Key) + 2);
+  ASSERT_TRUE(DecodePutRequest(put_prefix, &key, &value));
   EXPECT_EQ(key, 7u);
   EXPECT_EQ(value, "ab");
   const std::string scan = EncodeScanRequest(3, 1000, 17);
@@ -257,6 +259,46 @@ TEST(WireResponseCodecTest, ScanRoundTrip) {
   for (size_t i = 0; i < items.size(); ++i) {
     EXPECT_EQ(decoded[i].key, items[i].key);
     EXPECT_EQ(decoded[i].value, items[i].value);
+  }
+}
+
+// The server streams SCAN bodies item by item from its iterator; the
+// bytes must equal both EncodeScanResponse and an independent hand
+// encoding of the frozen v1 layout (u8 ok, u32 LE count, then per item
+// an 8-byte big-endian key, a u32 LE length and the value bytes).
+TEST(WireResponseCodecTest, StreamedScanBodyIsByteIdentical) {
+  for (size_t n : {0u, 1u, 100u}) {
+    SCOPED_TRACE(std::to_string(n) + " items");
+    std::vector<ScanItem> items;
+    for (size_t i = 0; i < n; ++i) {
+      const char fill = static_cast<char>('a' + i % 26);
+      items.push_back(ScanItem{0x0102030405060708ull * (i + 1),
+                               std::string(i % 7 * 5, fill)});
+    }
+    std::string hand(1, '\0');
+    for (int b = 0; b < 4; ++b) {
+      hand.push_back(static_cast<char>(n >> (8 * b)));
+    }
+    for (const ScanItem& item : items) {
+      for (int b = 7; b >= 0; --b) {
+        hand.push_back(static_cast<char>(item.key >> (8 * b)));
+      }
+      for (int b = 0; b < 4; ++b) {
+        hand.push_back(static_cast<char>(item.value.size() >> (8 * b)));
+      }
+      hand.append(item.value);
+    }
+
+    // Streamed after a prefix, as a caller appending into a larger buffer.
+    std::string streamed = "prefix";
+    const size_t count_offset = BeginScanResponse(&streamed);
+    for (const ScanItem& item : items) {
+      AppendScanItem(&streamed, item.key, item.value);
+    }
+    FinishScanResponse(&streamed, count_offset, static_cast<uint32_t>(n));
+    ASSERT_EQ(streamed.substr(0, 6), "prefix");
+    EXPECT_EQ(streamed.substr(6), hand);
+    EXPECT_EQ(EncodeScanResponse(items), hand);
   }
 }
 
