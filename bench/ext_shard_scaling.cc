@@ -14,10 +14,11 @@
 // a queue-tight configuration (2-deep compaction queue, soft throttle
 // from the first queued memtable, WAL sync off so fsync does not mask
 // scheduling) and reports aggregate put throughput, per-Put latency
-// percentiles, and the throttle/stall/arbiter counters that explain the
-// curve. Memory stays bounded: each shard's L0 buffer is capped at
-// 2*K0 by merge-priority backpressure, and the cross-shard arbiter
-// (budget reported in the JSON) never has to fire.
+// percentiles, and the throttle/stall counters that explain the curve.
+// Memory is not held constant: every shard runs its own memtable
+// pipeline, so N shards may hold N times one shard's memory-resident
+// records — the ceiling, N * (compaction_queue_depth + 2) * K0 * B
+// records, is reported per row in the JSON.
 //
 // Results land on stdout (table) and in BENCH_shard_scaling.json; the
 // headline figure is speedup_4v1 (aggregate throughput, 4 shards vs 1).
@@ -54,8 +55,7 @@ struct ShardRunResult {
   uint64_t throttle_events = 0;
   uint64_t throttle_micros = 0;
   uint64_t stall_events = 0;
-  uint64_t arbiter_seals = 0;
-  uint64_t budget_records = 0;
+  uint64_t mem_ceiling_records = 0;  ///< N * (queue depth + 2) * K0 * B.
 };
 
 double PercentileUs(const std::vector<uint64_t>& sorted_ns, double q) {
@@ -70,13 +70,9 @@ double PercentileUs(const std::vector<uint64_t>& sorted_ns, double q) {
 /// memtable — the regime where the Db-wide throttle is the bottleneck.
 /// With one shard, a single queued memtable makes *every* writer sleep
 /// until the worker drains it; with N shards each queue seals 1/N as
-/// often and only ops routed to a draining shard pay. The memory
-/// arbiter's default budget (the 1-shard ceiling) would force early
-/// seals whose smaller flushes change the *work* per record, not the
-/// scheduling, so the sweep pins an explicit per-shard-pipeline budget
-/// (N full pipelines — reported in the JSON; memory, not time). WAL
-/// syncs and checkpoints stay out of the loop so fsync batching does
-/// not mask compaction scheduling.
+/// often and only ops routed to a draining shard pay. WAL syncs and
+/// checkpoints stay out of the loop so fsync batching does not mask
+/// compaction scheduling.
 DbOptions ShardedBenchOptions(size_t shards) {
   DbOptions dbopts;
   dbopts.options = BenchOptions();
@@ -88,12 +84,6 @@ DbOptions ShardedBenchOptions(size_t shards) {
   dbopts.background_compaction = true;
   dbopts.compaction_queue_depth = 2;
   dbopts.compaction_slowdown_depth = 1;
-  // 2x slack keeps the arbiter off the boundary case where every
-  // pipeline is momentarily full at once.
-  dbopts.shard_memory_budget_records =
-      2 * static_cast<uint64_t>(shards) * (dbopts.compaction_queue_depth + 2) *
-      dbopts.options.level0_capacity_blocks *
-      dbopts.options.records_per_block();
   dbopts.shards = shards;
   return dbopts;
 }
@@ -166,8 +156,12 @@ ShardRunResult MeasureShardCount(size_t shards, double dataset_mb,
   r.throttle_events = after.throttle_events - before.throttle_events;
   r.throttle_micros = after.throttle_micros - before.throttle_micros;
   r.stall_events = after.stall_events - before.stall_events;
-  r.arbiter_seals = after.arbiter_seals - before.arbiter_seals;
-  r.budget_records = dbopts.shard_memory_budget_records;
+  // Per shard: the active memtable, compaction_queue_depth sealed ones
+  // and the L0 buffer, each at most K0 * B records.
+  r.mem_ceiling_records = static_cast<uint64_t>(shards) *
+                          (dbopts.compaction_queue_depth + 2) *
+                          options.level0_capacity_blocks *
+                          options.records_per_block();
   db.Close();
   std::filesystem::remove_all(dir);
   return r;
@@ -198,13 +192,13 @@ void Main() {
 
   const double base = results.front().puts_per_sec;
   TablePrinter table({"shards", "puts_per_sec", "speedup", "p50_us",
-                      "p99_us", "throttles", "stalls", "arbiter_seals",
+                      "p99_us", "throttles", "stalls", "mem_ceiling",
                       "blocks"});
   for (const ShardRunResult& r : results) {
     table.AddRowValues(r.shards, static_cast<uint64_t>(r.puts_per_sec),
                        base > 0 ? r.puts_per_sec / base : 0, r.p50_us,
                        r.p99_us, r.throttle_events, r.stall_events,
-                       r.arbiter_seals, r.blocks_written);
+                       r.mem_ceiling_records, r.blocks_written);
   }
   table.Print(std::cout, "ext_shard_scaling");
 
@@ -243,8 +237,7 @@ void Main() {
         "\"puts_per_sec\": %.1f, \"p50_us\": %.3f, \"p99_us\": %.3f, "
         "\"blocks_written\": %llu, \"memtables_sealed\": %llu, "
         "\"throttle_events\": %llu, \"throttle_micros\": %llu, "
-        "\"stall_events\": %llu, \"arbiter_seals\": %llu, "
-        "\"budget_records\": %llu}%s\n",
+        "\"stall_events\": %llu, \"mem_ceiling_records\": %llu}%s\n",
         r.shards, static_cast<unsigned long long>(r.ops), r.seconds,
         r.puts_per_sec, r.p50_us, r.p99_us,
         static_cast<unsigned long long>(r.blocks_written),
@@ -252,8 +245,7 @@ void Main() {
         static_cast<unsigned long long>(r.throttle_events),
         static_cast<unsigned long long>(r.throttle_micros),
         static_cast<unsigned long long>(r.stall_events),
-        static_cast<unsigned long long>(r.arbiter_seals),
-        static_cast<unsigned long long>(r.budget_records),
+        static_cast<unsigned long long>(r.mem_ceiling_records),
         i + 1 < results.size() ? "," : "");
     json += buf;
   }

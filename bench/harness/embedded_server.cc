@@ -99,9 +99,9 @@ StatusOr<EmbeddedServer::Report> EmbeddedServer::Stop() {
   report.quarantined_blocks = stats.quarantined_blocks.size();
 
   // Zero leaked blocks: every live device block is referenced by exactly
-  // one leaf (per shard; the facade has no device of its own).
+  // one leaf (per engine: each has its own device).
   for (size_t s = 0; s < db.shard_count(); ++s) {
-    LsmTree& tree = db.shard_count() == 1 ? *db.tree() : *db.shard(s)->tree();
+    LsmTree& tree = *db.shard(s)->tree();
     report.live_blocks += tree.device()->live_blocks();
     for (size_t i = 1; i < tree.num_levels(); ++i) {
       report.manifest_leaves += tree.level(i).num_leaves();

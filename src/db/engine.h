@@ -1,0 +1,615 @@
+#ifndef LSMSSD_DB_ENGINE_H_
+#define LSMSSD_DB_ENGINE_H_
+
+#include <atomic>
+#include <condition_variable>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <set>
+#include <string>
+#include <string_view>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#include "src/db/pinned_block_device.h"
+#include "src/format/options.h"
+#include "src/format/vlog_pointer.h"
+#include "src/lsm/iterator.h"
+#include "src/lsm/lsm_tree.h"
+#include "src/lsm/wal.h"
+#include "src/policy/policy_factory.h"
+#include "src/storage/fault_injection.h"
+#include "src/storage/fault_injection_block_device.h"
+#include "src/storage/file_block_device.h"
+#include "src/storage/vlog_file.h"
+#include "src/storage/io_stats.h"
+#include "src/util/histogram.h"
+#include "src/util/shared_mutex.h"
+#include "src/util/status.h"
+#include "src/util/statusor.h"
+
+namespace lsmssd {
+
+/// When WAL appends are fsynced. An acknowledged modification is
+/// *guaranteed* to survive a crash only once a sync (or a checkpoint)
+/// covering it has succeeded; a crash never leaves a modification
+/// partially visible under any mode.
+enum class WalSyncMode {
+  kNone,    ///< Sync only at checkpoint/close. Fastest; crash may lose
+            ///< the acked tail (never tear it).
+  kEveryN,  ///< Group commit: one writer fsyncs once the batch reaches
+            ///< DbOptions::wal_sync_every_n unsynced appends (across all
+            ///< threads), and every waiter it covers is acked together.
+  kAlways,  ///< Sync before acknowledging every modification.
+};
+
+/// Configuration of a durable Db instance.
+struct DbOptions {
+  /// Tree/format options. When opening an existing Db, the format fields
+  /// stored in its manifest are authoritative; only the runtime-only
+  /// fields (cache_blocks, bloom_bits_per_key) are taken from here.
+  Options options;
+
+  /// Merge policy driving the tree (and its Mixed parameters, when the
+  /// policy is kMixed).
+  PolicyKind policy = PolicyKind::kChooseBest;
+  MixedParams mixed_params;
+
+  WalSyncMode wal_sync_mode = WalSyncMode::kAlways;
+  uint64_t wal_sync_every_n = 64;  ///< Used by kEveryN only; must be > 0.
+
+  /// Hash-partition keys across this many Engines, each a complete LSM
+  /// engine (own memtable pipeline, WAL, device file, compaction
+  /// workers) configured by every other field here; the Db routes every
+  /// call over them. Each engine holds its own memory pipeline, so N
+  /// engines hold up to N times one engine's memory-resident records.
+  /// Layout: with 1 (the default) the lone engine lives in the root
+  /// directory itself and there is no layout file; with N > 1 engine i
+  /// lives in `shard-<i>`, and the partition function (stable FNV-1a
+  /// over the key bytes) and the count are recorded in a root `SHARDS`
+  /// file at creation. On reopen that file is authoritative, so a
+  /// sharded Db reopens correctly even with the default options.
+  /// Opening an existing Db with a *different* non-default shard count,
+  /// or asking for shards > 1 on an existing single-shard directory,
+  /// fails: resharding in place is not supported.
+  size_t shards = 1;
+
+  /// Automatic checkpoint threshold: a checkpoint runs once the live WAL
+  /// (rotated segments + active log) exceeds this many bytes. 0 disables
+  /// automatic checkpoints (call Db::Checkpoint() manually). Must
+  /// otherwise be large enough that checkpoints cannot fire on every
+  /// single modification (>= two framed entries); Open rejects smaller
+  /// values.
+  uint64_t checkpoint_wal_bytes = 8ull << 20;
+
+  /// Run automatic checkpoints on the Db's background maintenance thread
+  /// (the default): the writer that trips the threshold only *requests*
+  /// a checkpoint and returns; the maintenance thread takes it, and the
+  /// slow part (device flush + manifest write) runs off the commit lock,
+  /// so no writer ever stalls behind a manifest write. When false,
+  /// auto-checkpoints run inline in the tripping writer before its op
+  /// returns — fully deterministic, used by the crash-point sweep and by
+  /// tests that count checkpoints. Db::Checkpoint() is synchronous either
+  /// way.
+  bool background_checkpoint = true;
+
+  bool create_if_missing = true;  ///< Open fails on a missing dir if false.
+  bool error_if_exists = false;   ///< Open fails on an existing Db if true.
+
+  /// Who runs compaction. In both modes Put/Delete land in the WAL and
+  /// the active memtable only; a full memtable is *sealed* onto a queue
+  /// of immutable memtables, which compaction drains one bounded step at
+  /// a time (LsmTree::BackgroundCompactStep's order: flush, then merge
+  /// the shallowest overflowing level). When true, a background worker
+  /// pool runs the steps, publishing each atomically under the exclusive
+  /// tree lock; writers never wait for a merge unless the queue backs up
+  /// — then they are first throttled (see compaction_slowdown_depth) and
+  /// finally stalled until a worker frees a slot (counted and timed in
+  /// DbStats). Default off: the writer that seals the memtable runs the
+  /// steps itself, until none is left, before its op returns. Off, the
+  /// memtable plus L0 buffer hold under 2 * K0 * B records between ops
+  /// (each below K0 * B), twice LsmTree::Put's K0 * B bound.
+  bool background_compaction = false;
+
+  /// Hard bound on queued sealed memtables (>= 1). A writer that must
+  /// seal while the queue is full stalls until the worker drains one.
+  /// Memory ceiling: (compaction_queue_depth + 1) * K0 * B records.
+  size_t compaction_queue_depth = 4;
+
+  /// Background compaction worker threads (>= 1; background mode only).
+  /// With one worker (the default, previous behavior) flushes and merges
+  /// alternate on a single thread, so one long merge head-of-line blocks
+  /// every flush behind it and the sealed queue backs up into throttles
+  /// and stalls. With more workers the steps are scheduled through a
+  /// per-level ownership table: flushes run under the memtable lock only
+  /// and claim the L0 buffer; a merge of level s claims {s, s+1} and
+  /// holds the exclusive tree lock for its step (level publication stays
+  /// a single serialized step) — so a flush proceeds concurrently with a
+  /// long merge, and no two workers ever write the same level.
+  size_t compaction_workers = 1;
+
+  /// Soft backpressure: while the queue holds at least this many sealed
+  /// memtables, every modification sleeps compaction_slowdown_micros
+  /// before committing, slowing writers so the worker can catch up
+  /// before they hit the hard stall. 0 disables throttling.
+  size_t compaction_slowdown_depth = 3;
+  uint64_t compaction_slowdown_micros = 200;
+
+  /// Caps the device's simultaneously-live blocks; 0 = unlimited. When a
+  /// merge hits the cap it aborts atomically (the pre-merge tree stays
+  /// fully readable, zero blocks leak) and the triggering Put/Delete
+  /// returns ResourceExhausted — write backpressure, not a poisoned Db.
+  /// Raise at runtime with SetMaxDeviceBlocks(). A sharded Db gives each
+  /// engine the ceiling of an even split.
+  uint64_t max_device_blocks = 0;
+
+  /// Background scrub cadence: every `scrub_interval_ms` of maintenance-
+  /// thread idle time, verify the checksums of the next
+  /// `scrub_batch_blocks` manifest-live blocks (round-robin by block id,
+  /// wrapping). 0 disables background scrubbing; Db::Scrub() runs a full
+  /// synchronous pass either way. Corrupt blocks land in the quarantine
+  /// set (Db::Stats().quarantined_blocks) without failing the Db.
+  uint64_t scrub_interval_ms = 0;
+  uint64_t scrub_batch_blocks = 32;
+
+  /// Value-log GC trigger (only meaningful when Options::vlog_enabled()):
+  /// when the estimated dead fraction of the value log reaches this
+  /// ratio, the maintenance thread rewrites the live entries out of the
+  /// oldest segment, advances the tail, and checkpoints to reclaim it.
+  /// 0 disables automatic GC (Db::CompactVlog() still works); must be
+  /// < 1 otherwise.
+  double vlog_gc_ratio = 0.0;
+
+  /// Value-log segment roll threshold: once the head segment reaches
+  /// this many bytes it is sealed (fsynced) and a fresh `vlog-<n+1>`
+  /// starts. Smaller segments mean finer-grained GC. Must be > 0.
+  uint64_t vlog_segment_bytes = 4ull << 20;
+
+  /// Test seam: when set, every durable step (block write/flush, WAL
+  /// append/sync, segment rotate/unlink, manifest write/rename) consults
+  /// this injector, and a tripped injector kills the instance mid-step —
+  /// the crash-point sweep in tests/integration/crash_sweep_test.cc
+  /// drives recovery through every such point. Must outlive the Db.
+  FaultInjector* fault_injector = nullptr;
+};
+
+/// Counters surfaced by Db::Stats().
+struct DbStats {
+  IoStats io;  ///< Physical device accounting (incl. cache/bloom counters).
+  uint64_t wal_entries_appended = 0;  ///< Since this Db was opened.
+  uint64_t wal_bytes_appended = 0;    ///< Framed bytes, since open.
+  uint64_t wal_syncs = 0;             ///< Successful explicit WAL fsyncs.
+  uint64_t checkpoints = 0;           ///< Checkpoints taken since open.
+  uint64_t recovery_wal_entries_replayed = 0;  ///< Replayed during Open.
+  uint64_t recovery_manifest_blocks = 0;  ///< Blocks restored from manifest.
+  uint64_t deferred_frees = 0;  ///< Blocks pinned for recovery, free deferred.
+
+  /// Block ids that failed checksum verification (on a read or a scrub),
+  /// sorted. A quarantined block keeps returning Corruption on every
+  /// access; it leaves the set only when a merge/compaction frees it.
+  std::vector<BlockId> quarantined_blocks;
+  uint64_t scrub_blocks_verified = 0;   ///< Clean verdicts, since open.
+  uint64_t scrub_corruptions_found = 0; ///< Corrupt verdicts, since open.
+  /// Put/Delete calls that returned ResourceExhausted because the device
+  /// hit max_device_blocks (the op itself is logged and applied; only the
+  /// triggered merge was rolled back).
+  uint64_t write_backpressure_events = 0;
+
+  // Compaction. Seals, flushes, merges and step time count in both
+  // modes (the inline writer runs the same steps the workers do); the
+  // throttle and stall counters stay zero when background_compaction is
+  // off, since an inline writer never waits for a worker.
+  uint64_t memtables_sealed = 0;     ///< Active memtables moved to the queue.
+  uint64_t background_flushes = 0;   ///< Steps draining a sealed memtable.
+  uint64_t background_merges = 0;    ///< Steps merging out of a level.
+  uint64_t compaction_queue_depth = 0;  ///< Sealed memtables queued right now.
+  uint64_t compaction_micros = 0;    ///< Wall time inside compaction steps.
+  uint64_t throttle_events = 0;      ///< Ops delayed by the soft slowdown.
+  uint64_t throttle_micros = 0;
+  uint64_t stall_events = 0;         ///< Ops that hit the hard queue-full stall.
+  uint64_t stall_micros = 0;
+  /// Per-op hard-stall wait times in microseconds (only stalled ops are
+  /// recorded; an empty histogram means no writer ever hit the wall). For
+  /// a sharded Db this is the *merge* of every shard's histogram
+  /// (LatencyHistogram::Merge), not one shard's view.
+  LatencyHistogram stall_latency;
+
+  uint64_t shards = 1;  ///< Engines summed into these counters.
+
+  // Value log (all zero when key–value separation is off; the ToString
+  // summary omits the vlog line entirely in that case).
+  uint64_t vlog_segments = 0;         ///< Segments in [tail, head] right now.
+  uint64_t vlog_bytes_appended = 0;   ///< Entry bytes appended since open.
+  uint64_t vlog_gc_rewrites = 0;      ///< Live entries GC re-appended.
+  uint64_t vlog_segments_reclaimed = 0;  ///< Segments GC deleted since open.
+  uint64_t vlog_quarantined_entries = 0; ///< Entries failing checksum reads.
+
+  /// Multi-line human-readable summary (CLI stats line).
+  std::string ToString() const;
+};
+
+/// One durable LSM engine over one directory: a FileBlockDevice
+/// (`blocks.dev`), a write-ahead log (`wal.log`, plus rotated
+/// `wal.old.<n>` segments while a checkpoint is in flight), a checkpoint
+/// (`MANIFEST`), optional value-log segments (`vlog-<n>`), and the
+/// LsmTree wired over them, with its compaction workers and scrubber.
+/// Applications reach it through Db (src/db/db.h), which routes keys
+/// over 1..N engines; LsmTree stays the policy-research core underneath.
+///
+/// Lifecycle:
+///   * Open creates the directory or auto-recovers an existing one:
+///     load MANIFEST -> LsmTree::Restore -> replay every rotated WAL
+///     segment in order, then the active WAL tail (tolerating a torn
+///     final entry in the active log only).
+///   * Every Put/Delete is WAL-appended *before* it is applied, then
+///     fsynced per WalSyncMode.
+///   * A checkpoint (manual, or automatic once the live WAL exceeds
+///     DbOptions::checkpoint_wal_bytes) syncs the WAL, *rotates* it
+///     (rename to wal.old.<n>, fresh empty wal.log), publishes the
+///     manifest atomically (tmp + fsync + rename + dir fsync), deletes
+///     the rotated segments it covers, and recycles block slots whose
+///     free had been deferred (see PinnedBlockDevice). Rotation — rather
+///     than truncation — is what lets writers keep appending while the
+///     manifest is being written.
+///
+/// Thread-safety: safe for concurrent use. Reads (Get/NewIterator) run
+/// under a shared tree lock; Put/Delete serialize through a commit lock
+/// with cross-thread group commit; automatic checkpoints run on a
+/// background maintenance thread by default. See DESIGN.md, "Threading
+/// model", for the lock hierarchy and protocols.
+///
+/// After any durability error (including injected faults) the engine
+/// enters a failed state and refuses further operations; reopening the
+/// directory recovers the last consistent state.
+///
+/// Each public method keeps the contract of the Db method of the same
+/// name, restricted to this engine's directory and keys.
+class Engine {
+ public:
+  /// Opens or creates the engine in `dir`, creating the directory if
+  /// missing. Db::Open validates `dbopts` and applies create_if_missing
+  /// and error_if_exists to the root before it opens any engine.
+  static StatusOr<std::unique_ptr<Engine>> Open(const DbOptions& dbopts,
+                                                const std::string& dir);
+
+  /// Joins the maintenance thread and the compaction workers. Idempotent.
+  void Close();
+  /// Close(), then a best-effort final WAL sync (unless failed).
+  ~Engine();
+
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
+
+  Status Put(Key key, std::string_view payload);
+  Status Delete(Key key);
+  StatusOr<std::string> Get(Key key);
+  std::unique_ptr<Iterator> NewIterator() const;
+
+  Status Checkpoint();
+  Status SyncWal();
+  Status WaitForCompaction();
+  Status Scrub();
+  Status CompactVlog();
+  void SetMaxDeviceBlocks(uint64_t max_blocks);
+
+  DbStats Stats() const;
+  const Options& options() const { return tree_->options(); }
+  bool failed() const { return failed_.load(std::memory_order_acquire); }
+  /// The underlying tree, for research/diagnostic code. Mutating it
+  /// directly bypasses the WAL — such changes are lost on crash — and
+  /// bypasses the engine's locks: only touch it while nothing else
+  /// (including a background checkpoint) runs.
+  LsmTree* tree() { return tree_.get(); }
+
+  /// What every operation returns once the engine has failed.
+  static Status FailedStatus();
+
+ private:
+  Engine(DbOptions dbopts, std::string dir);
+
+  /// WAL-append + memtable apply under the commit lock (plus the inline
+  /// drain when background_compaction is off), group-commit sync per
+  /// policy, then trigger/run the auto-checkpoint if the threshold
+  /// tripped.
+  Status Apply(const Record& record);
+
+  /// Blocks until every entry up to `target` is covered by a successful
+  /// fsync, becoming the group-commit leader when no sync is in flight
+  /// (the leader fsyncs with the commit lock *released*; followers wait
+  /// on sync_cv_). `lk` must hold db_mu_. Poisons and returns the error
+  /// on fsync failure.
+  Status SyncCoveringLocked(std::unique_lock<std::mutex>& lk,
+                            uint64_t target);
+
+  /// Quiesces in-flight syncs and issues at least one fsync, so that on
+  /// return (with db_mu_ held continuously since the last check) every
+  /// appended entry is synced and no sync is in flight — the WAL file is
+  /// stable and may be rotated or handed to a new writer.
+  Status ForceSyncAllLocked(std::unique_lock<std::mutex>& lk);
+
+  /// Serialized checkpoint entry point (waits out a concurrent
+  /// checkpoint, then runs one). `lk` must hold db_mu_.
+  Status CheckpointLocked(std::unique_lock<std::mutex>& lk);
+  /// The checkpoint protocol itself; db_mu_ is released during the
+  /// device flush + manifest write (see DESIGN.md). Requires
+  /// checkpoint_in_progress_ set by the caller.
+  Status CheckpointBodyLocked(std::unique_lock<std::mutex>& lk);
+
+  /// Background maintenance thread: runs auto-checkpoints requested by
+  /// writers — and, when scrub_interval_ms > 0, periodic scrub batches —
+  /// until Close().
+  void MaintenanceLoop();
+
+  /// Background compaction worker body (compaction_workers threads run
+  /// it in background mode): sleeps on comp_cv_ until a writer seals a
+  /// memtable (or the cap is raised), then runs RunCompactionSteps.
+  /// Deliberately NOT the maintenance thread: that one parks on db_mu_,
+  /// and a hard-stalled writer waits for compaction progress *while
+  /// holding db_mu_* — a worker that needed db_mu_ to wake could then
+  /// never run.
+  void CompactionLoop();
+
+  // ---- Background compaction (see DESIGN.md, "Compaction scheduling
+  // & write stalls") -----------------------------------------------------
+
+  /// Write-path gate, called with db_mu_ held before the WAL append:
+  /// applies the soft throttle, and when the active memtable is full,
+  /// seals it onto the queue — stalling first if the queue is at
+  /// compaction_queue_depth — and kicks the worker. Returns the worker's
+  /// sticky error (without applying the op) when compaction is wedged.
+  Status MaybeSealOrStallLocked(std::unique_lock<std::mutex>& lk);
+
+  /// Moves the active memtable onto the sealed queue, publishes the new
+  /// depth and counts the seal. Requires mem_mu_ held exclusively.
+  void SealActiveMemtableLocked();
+
+  /// Inline mode's compaction: when there is work, seals a full active
+  /// memtable and runs LsmTree::BackgroundCompactStep until kNone, under
+  /// exclusive tree_mu_ + mem_mu_. Called by the committing writer (db_mu_
+  /// held) and by WAL replay in Open (before any other thread exists), so
+  /// in either case nothing else mutates the tree. Returns the failing
+  /// step's error; the next call retries the drain.
+  Status DrainCompactionLocked();
+
+  /// Publishes one finished step under comp_mu_: counters, queue depth,
+  /// step time, and the sticky compaction_error_ (cleared by progress).
+  void RecordCompactionStep(const Status& st, LsmTree::CompactStep step,
+                            bool popped, uint64_t micros);
+
+  /// Worker: drains the pipeline one step at a time until there is no
+  /// work, updating the comp_mu_ counters and waking stalled writers
+  /// after every step. Runs WITHOUT db_mu_ (a stalled writer holds it);
+  /// takes db_mu_ only to poison the engine on a durability error, after
+  /// publishing the error under comp_mu_ so the stalled writer can wake
+  /// and release db_mu_ first.
+  void RunCompactionSteps();
+
+  /// One bounded worker step, scheduled through the per-level ownership
+  /// table (level_claims_, under comp_mu_): a flush claims the L0 buffer
+  /// ("level 0") and runs under mem_mu_ exclusive only — pure memory, no
+  /// tree lock, so it proceeds while another worker holds tree_mu_ for a
+  /// long merge; a merge claims its source level pair {s, s+1} and runs
+  /// under tree_mu_ exclusive (serialized level publication). Claims are
+  /// try-acquire only (a worker never blocks holding one lock waiting
+  /// for a claim), and work that is visible but claimed by another
+  /// worker is left to that worker's drain loop, which always rescans
+  /// before exiting. Writers keep appending throughout either step kind.
+  Status RunOneCompactionStep(LsmTree::CompactStep* step, bool* popped);
+
+  /// Claims every level in [lo, hi] for the calling worker, or claims
+  /// nothing and returns false if any is taken. Requires comp_mu_.
+  bool TryClaimLevelsLocked(size_t lo, size_t hi);
+  void ReleaseLevelsLocked(size_t lo, size_t hi);
+
+  /// One background scrub batch: picks the next scrub_batch_blocks live
+  /// blocks after the round-robin cursor and verifies them under the
+  /// shared tree lock (db_mu_ released during the I/O). `lk` must hold
+  /// db_mu_; reacquired before returning.
+  void ScrubTickLocked(std::unique_lock<std::mutex>& lk);
+
+  /// tmp + fsync + rename + dir-fsync, with injected crash points.
+  /// Called *without* db_mu_ held (it only touches dir_ and the
+  /// injector).
+  Status WriteManifestAtomically(const std::string& data);
+  /// Block ids referenced by the live tree (the next manifest's pin set).
+  /// Requires db_mu_ (tree structure is stable under it).
+  std::vector<BlockId> CurrentTreeBlocks() const;
+  /// Opens a WAL writer on `path`, wrapping it for fault injection when
+  /// configured.
+  StatusOr<std::unique_ptr<WalWriter>> MakeWalWriter(
+      const std::string& path) const;
+
+  // ---- Value log (DESIGN.md §11; all no-ops unless
+  // Options::vlog_enabled()) ---------------------------------------------
+
+  /// Opens vlog segment `n` for append+read, wrapping it for fault
+  /// injection when `writable` (the head — reads of sealed segments never
+  /// consult the injector).
+  StatusOr<std::shared_ptr<VlogFile>> MakeVlogFile(uint64_t n,
+                                                   bool writable) const;
+  /// Appends `record`'s payload to the head vlog segment (rolling it
+  /// first if over vlog_segment_bytes) and rewrites `record` in place to
+  /// carry the 16-byte pointer. Requires db_mu_; runs before the WAL
+  /// append so a WAL-durable pointer always has vlog bytes behind it
+  /// (modulo the sync-ordering window recovery handles).
+  Status VlogAppendLocked(Record* record);
+  /// Seals the current head segment (fsync, so sealed segments are never
+  /// torn) and starts `vlog-<head+1>`. Requires db_mu_.
+  Status RollVlogLocked();
+  /// Resolves a stored 16-byte pointer payload to the user value via the
+  /// segment reader map. A checksum/shape mismatch quarantines the entry
+  /// (further reads keep failing fast) and returns Corruption naming it —
+  /// the engine is NOT poisoned; the damage is one value, not the instance.
+  Status ResolveVlogValue(std::string_view stored, Key key,
+                          std::string* out) const;
+  /// The WAL-append + tree-apply body of Apply (record already in stored
+  /// form); factored out so GC can rewrite entries under its held lock.
+  Status ApplyLocked(const Record& record, std::unique_lock<std::mutex>& lk);
+  /// GC of one sealed segment: scan it (off-lock; sealed segments are
+  /// immutable), re-Put every entry the tree still points at, then
+  /// advance the pending tail over it. The segment is only deleted after
+  /// a checkpoint publishes the new tail — a crash at any step before
+  /// that leaves it in place and GC simply re-runs. `lk` must hold
+  /// db_mu_; released during the scan.
+  Status VlogGcSegmentLocked(std::unique_lock<std::mutex>& lk);
+  /// Auto-GC trigger: estimated dead fraction of the log >= vlog_gc_ratio,
+  /// using TotalRecords * entry-size as a conservative live-byte floor
+  /// (every live key stores exactly one entry). Requires db_mu_.
+  bool VlogGcWantedLocked() const;
+  /// Unlinks segments below `tail` and drops their readers (after the
+  /// manifest recording `tail` is durable). Requires db_mu_.
+  Status VlogDropBelowLocked(uint64_t tail);
+
+  /// Marks the instance failed, wakes every waiter, and passes `st`
+  /// through. Requires db_mu_ held.
+  Status FailLocked(Status st);
+
+  /// Bytes currently in the live WAL: rotated segments + recovered tail
+  /// + appends to the active log. Requires db_mu_.
+  uint64_t WalLiveBytesLocked() const;
+
+  DbOptions dbopts_;
+  std::string dir_;
+
+  std::unique_ptr<FileBlockDevice> device_;  ///< Base physical device.
+  std::unique_ptr<FaultInjectionBlockDevice> fault_device_;  ///< Optional.
+  std::unique_ptr<PinnedBlockDevice> pinned_;
+  std::unique_ptr<LsmTree> tree_;
+  std::unique_ptr<WalWriter> wal_;  ///< Active log; swapped at rotation.
+
+  // ---- Concurrency (lock hierarchy: db_mu_ -> tree_mu_ -> mem_mu_ ->
+  // comp_mu_; any prefix may be skipped, the order never reversed) ------
+  //
+  // db_mu_   commit lock: WAL append order == tree apply order, group-
+  //          commit state, checkpoint state, counters. Released while a
+  //          leader fsyncs and while a checkpoint writes the manifest.
+  // tree_mu_ on-SSD tree + device-metadata lock: Get/iterators/scrubs hold
+  //          it shared; level mutations and deferred-free recycling hold
+  //          it exclusive. Writers never take it for their apply. An
+  //          inline-mode writer takes it exclusive (with mem_mu_) only
+  //          for its drain; in background mode only compaction workers
+  //          take it, one merge step per exclusive hold (level
+  //          publication stays serialized even with compaction_workers >
+  //          1). Writer-preferring so tight read loops cannot starve
+  //          commits (std::shared_mutex on glibc would).
+  // mem_mu_  memory-resident state lock: the active memtable's contents,
+  //          the sealed-queue structure, and flush absorption into the
+  //          tree's L0 buffer (a flush step runs entirely under mem_mu_
+  //          exclusive, never tree_mu_ — pure memory, so it overlaps an
+  //          in-flight merge). Writers hold it exclusive for the
+  //          in-memory apply and for sealing; readers hold it shared for
+  //          the memtable probe (and for an iterator's whole lifetime).
+  //          This is the split that takes merges off the write path: a
+  //          writer's apply needs only db_mu_ + mem_mu_, a merge step
+  //          needs tree_mu_. The L0 buffer's contents are
+  //          mutated either under [mem_mu_ exclusive + claim on level 0]
+  //          (flush) or [tree_mu_ exclusive + claim on level 0] (L0
+  //          spill) — or, by the inline drain, under both exclusive;
+  //          readers snapshotting it hold tree_mu_ AND mem_mu_ shared.
+  // comp_mu_ leaf lock (never held while acquiring any other): compaction
+  //          queue depth, worker state, the per-level ownership table
+  //          (level_claims_), seal/step/stall/throttle counters. Guards
+  //          stall_cv_, on which stalled writers wait *while holding
+  //          db_mu_* — which is why workers must not touch db_mu_
+  //          between steps.
+  mutable std::mutex db_mu_;
+  mutable SharedMutex tree_mu_;
+  mutable SharedMutex mem_mu_;
+  mutable std::mutex comp_mu_;
+  std::condition_variable sync_cv_;   ///< Group-commit rounds completing.
+  std::condition_variable ckpt_cv_;   ///< Checkpoint slot freeing up.
+  std::condition_variable maint_cv_;  ///< Work for the maintenance thread.
+  std::condition_variable stall_cv_;  ///< Compaction progress (comp_mu_).
+  std::condition_variable comp_cv_;   ///< Work for the worker (comp_mu_).
+  std::thread maintenance_;
+  /// Compaction worker pool, compaction_workers threads (background mode
+  /// only; previously a single thread).
+  std::vector<std::thread> compaction_pool_;
+
+  std::atomic<bool> failed_{false};
+  bool closed_ = false;               ///< Close() ran (under db_mu_).
+  bool stop_maintenance_ = false;     ///< Tells MaintenanceLoop to exit.
+  bool checkpoint_requested_ = false; ///< Writer tripped the threshold.
+  bool checkpoint_in_progress_ = false;
+  bool sync_in_progress_ = false;     ///< A group-commit leader is fsyncing.
+
+  // Compaction state (under comp_mu_).
+  size_t sealed_queued_ = 0;      ///< Sealed memtables awaiting drain.
+  size_t active_compaction_workers_ = 0;  ///< Workers inside RunCompactionSteps.
+  bool compaction_scheduled_ = false;  ///< Kicked, no worker started on it yet.
+  bool stop_compaction_ = false;  ///< Tells CompactionLoop to exit.
+  /// Per-level ownership table (index 0 = the L0 buffer, i = level Li):
+  /// nonzero while a worker owns the level for its current step. A flush
+  /// claims {0}; a merge of source s claims {s, s+1}. This is what makes
+  /// the two L0-buffer mutators (flush absorb under mem_mu_, L0 spill
+  /// under tree_mu_) mutually exclusive, and guarantees no two workers
+  /// ever write the same level.
+  std::vector<uint8_t> level_claims_;
+  /// Sticky worker error (ResourceExhausted/Corruption): surfaced to
+  /// writers that must seal, cleared by a later successful step or by
+  /// SetMaxDeviceBlocks. Durability errors poison the engine instead.
+  Status compaction_error_;
+  uint64_t memtables_sealed_ = 0;
+  uint64_t background_flushes_ = 0;
+  uint64_t background_merges_ = 0;
+  uint64_t compaction_micros_ = 0;
+  uint64_t throttle_events_ = 0;
+  uint64_t throttle_micros_ = 0;
+  uint64_t stall_events_ = 0;
+  uint64_t stall_micros_ = 0;
+  LatencyHistogram stall_hist_;
+
+  // Group-commit bookkeeping (under db_mu_). Sequence numbers count WAL
+  // entries appended since open; they survive rotation (unlike the
+  // per-writer counters, which reset with each fresh wal.log).
+  uint64_t seq_appended_ = 0;  ///< Entries appended.
+  uint64_t seq_synced_ = 0;    ///< Entries covered by a completed fsync.
+  uint64_t sync_target_ = 0;   ///< Entries covered once the in-flight
+                               ///< fsync completes (kEveryN batching).
+
+  uint64_t wal_bytes_total_ = 0;  ///< Framed bytes appended since open.
+  uint64_t wal_syncs_ = 0;
+  uint64_t checkpoints_ = 0;
+  uint64_t recovery_replayed_ = 0;
+  uint64_t recovery_manifest_blocks_ = 0;
+  uint64_t wal_recovered_bytes_ = 0;  ///< Active-WAL size found at Open.
+  uint64_t wal_old_bytes_ = 0;    ///< Total bytes in rotated segments.
+  uint64_t next_wal_segment_ = 1; ///< Next rotation's segment number.
+
+  // Integrity bookkeeping (under db_mu_).
+  uint64_t scrub_blocks_verified_ = 0;
+  uint64_t scrub_corruptions_ = 0;
+  uint64_t backpressure_events_ = 0;
+  BlockId scrub_cursor_ = 0;  ///< Background scrub resumes after this id.
+
+  // ---- Value log state (empty/zero when key–value separation is off).
+  // Writer-side fields are under db_mu_ (vlog appends happen in commit
+  // order, before the WAL append). The segment reader map and the
+  // quarantine set are under vlog_mu_, a leaf lock readers take without
+  // db_mu_ — Get resolves pointers under the shared tree locks only.
+  bool vlog_on_ = false;              ///< tree options' vlog_enabled().
+  uint64_t vlog_head_file_ = 0;       ///< Segment being appended.
+  uint64_t vlog_head_offset_ = 0;     ///< Append end within the head.
+  uint64_t vlog_tail_file_ = 0;       ///< Manifest-published tail.
+  uint64_t vlog_pending_tail_ = 0;    ///< GC-advanced, awaiting publish.
+  VlogFile* vlog_head_ = nullptr;     ///< Borrowed from vlog_files_.
+  uint64_t vlog_bytes_appended_ = 0;
+  uint64_t vlog_gc_rewrites_ = 0;
+  uint64_t vlog_segments_reclaimed_ = 0;
+
+  mutable std::mutex vlog_mu_;  ///< Leaf lock (never held acquiring others).
+  /// Every open segment in [tail, head], shared so a reader holding one
+  /// across an unlink keeps a valid fd (POSIX keeps the data alive).
+  mutable std::map<uint64_t, std::shared_ptr<VlogFile>> vlog_files_;
+  /// (segment, offset) of entries that failed verification; kept failing
+  /// fast instead of re-reading damaged bytes. Cleared when GC reclaims
+  /// the segment.
+  mutable std::set<std::pair<uint64_t, uint64_t>> vlog_quarantine_;
+  mutable std::atomic<uint64_t> vlog_quarantined_entries_{0};
+};
+
+}  // namespace lsmssd
+
+#endif  // LSMSSD_DB_ENGINE_H_

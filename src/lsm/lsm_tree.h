@@ -219,8 +219,7 @@ class LsmTree {
     return compacting_l0_ != nullptr ? *compacting_l0_ : memtable_;
   }
   /// Record count of the *active* memtable, bypassing the compacting_l0_
-  /// redirect above — what a writer holding the memtable lock should
-  /// report to the sharded facade's memory arbiter.
+  /// redirect above.
   size_t active_memtable_records() const { return memtable_.size(); }
   /// Consolidated snapshot of every memory-resident record (active +
   /// sealed memtables, newest version of each key, tombstones kept), in

@@ -87,8 +87,8 @@ class IoStats {
   /// base's counters to present one complete account.
   void OverlaySyscallCounters(const IoStats& other);
 
-  /// Adds every counter of `other` into this snapshot. Used by the sharded
-  /// Db facade to aggregate per-shard device accounting into one view;
+  /// Adds every counter of `other` into this snapshot. Used by the Db
+  /// router to aggregate per-engine device accounting into one view;
   /// like CopyFrom, the result is a per-counter relaxed sum, not an atomic
   /// snapshot across counters.
   void MergeFrom(const IoStats& other);

@@ -1,7 +1,8 @@
-// Sharded Db facade: layout creation and reopen authority, reshard
-// rejection, key routing, cross-shard scan/iterator merge against an
-// oracle, stats aggregation (counter sums + histogram merge), the
-// cross-shard memory arbiter, and shard-aware scrub/quarantine.
+// Db as a router over engines: the one-engine layout, sharded layout
+// creation and reopen authority, reshard rejection, key routing,
+// cross-shard scan/iterator merge against an oracle, stats aggregation
+// (counter sums + histogram merge, the identity for one engine), and
+// shard-aware scrub/quarantine.
 
 #include "src/db/db.h"
 
@@ -59,16 +60,55 @@ TEST(DbShardedTest, PartitionIsDeterministicAndUsesEveryShard) {
   EXPECT_EQ(Db::ShardOfKey(12345, 1), 0u);
 }
 
+TEST(DbShardedTest, UnshardedDbIsOneEngineInTheRoot) {
+  const std::string dir = FreshDir("one");
+  auto db_or = Db::Open(TinyShardedOptions(1), dir);
+  ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
+  Db& db = *db_or.value();
+  EXPECT_EQ(db.shard_count(), 1u);
+  ASSERT_NE(db.shard(0), nullptr);
+  EXPECT_EQ(db.shard(0)->tree(), db.tree());
+  EXPECT_NE(db.tree(), nullptr);
+  EXPECT_EQ(db.shard(1), nullptr);
+  // The classic layout: the engine's files sit in the root itself.
+  EXPECT_FALSE(std::filesystem::exists(Db::ShardLayoutPath(dir)));
+  EXPECT_FALSE(std::filesystem::exists(Db::ShardDirPath(dir, 0)));
+  EXPECT_TRUE(std::filesystem::exists(Db::WalPath(dir)));
+}
+
+TEST(DbShardedTest, OneEngineStatsAggregateToTheEngineOwn) {
+  const std::string dir = FreshDir("onestats");
+  DbOptions dbopts = TinyShardedOptions(1);
+  auto db_or = Db::Open(dbopts, dir);
+  ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
+  Db& db = *db_or.value();
+  for (Key k = 0; k < 400; ++k) {
+    ASSERT_TRUE(db.Put(k, MakePayload(dbopts.options, k)).ok());
+  }
+  ASSERT_TRUE(db.Delete(3).ok());
+  ASSERT_TRUE(db.Checkpoint().ok());
+  ASSERT_TRUE(db.Scrub().ok());
+  ASSERT_TRUE(db.Get(5).ok());
+
+  const DbStats agg = db.Stats();
+  const DbStats own = db.shard(0)->Stats();
+  EXPECT_GT(own.io.block_writes(), 0u);
+  EXPECT_GT(own.scrub_blocks_verified, 0u);
+  EXPECT_EQ(agg.shards, 1u);
+  // Every counter the summary prints, byte for byte.
+  EXPECT_EQ(agg.ToString(), own.ToString());
+  EXPECT_EQ(agg.ToString().find("shards:"), std::string::npos);
+}
+
 TEST(DbShardedTest, OpenCreatesLayoutFileAndShardDirs) {
   const std::string dir = FreshDir("create");
   auto db_or = Db::Open(TinyShardedOptions(4), dir);
   ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
   Db& db = *db_or.value();
   EXPECT_EQ(db.shard_count(), 4u);
-  EXPECT_EQ(db.tree(), nullptr);  // The facade has no tree of its own.
+  EXPECT_EQ(db.tree(), nullptr);  // No single tree: use shard(i)->tree().
   for (size_t i = 0; i < 4; ++i) {
     ASSERT_NE(db.shard(i), nullptr);
-    EXPECT_EQ(db.shard(i)->shard_count(), 1u);
   }
   EXPECT_EQ(db.shard(4), nullptr);
   EXPECT_TRUE(std::filesystem::exists(Db::ShardLayoutPath(dir)));
@@ -294,32 +334,6 @@ TEST(DbShardedTest, StatsAggregateAndMergeAcrossShards) {
             std::string::npos);
 }
 
-TEST(DbShardedTest, MemoryArbiterSealsLargestShardUnderPressure) {
-  const std::string dir = FreshDir("arbiter");
-  DbOptions dbopts = TinyShardedOptions(4);
-  dbopts.background_compaction = true;
-  // Budget far below one memtable's 40-record capacity: the facade must
-  // keep sealing early to stay under it.
-  dbopts.shard_memory_budget_records = 16;
-  auto db_or = Db::Open(dbopts, dir);
-  ASSERT_TRUE(db_or.ok());
-  Db& db = *db_or.value();
-  const Key kCount = 600;
-  for (Key k = 0; k < kCount; ++k) {
-    ASSERT_TRUE(db.Put(k, MakePayload(dbopts.options, k)).ok());
-  }
-  ASSERT_TRUE(db.WaitForCompaction().ok());
-  const DbStats stats = db.Stats();
-  EXPECT_GT(stats.arbiter_seals, 0u);
-  EXPECT_GE(stats.memtables_sealed, stats.arbiter_seals);
-  // Pressure-induced seals must never cost correctness.
-  for (Key k = 0; k < kCount; ++k) {
-    auto v = db.Get(k);
-    ASSERT_TRUE(v.ok()) << "key " << k;
-    EXPECT_EQ(v.value(), MakePayload(dbopts.options, k));
-  }
-}
-
 TEST(DbShardedTest, ScrubFindsPerShardDamageAndOthersStayClean) {
   const std::string dir = FreshDir("scrub");
   const DbOptions dbopts = TinyShardedOptions(2);
@@ -333,7 +347,7 @@ TEST(DbShardedTest, ScrubFindsPerShardDamageAndOthersStayClean) {
   ASSERT_TRUE(db.Scrub().ok());  // Clean after checkpoint.
 
   // Corrupt one on-SSD leaf of shard 1 only.
-  Db* victim = db.shard(1);
+  Engine* victim = db.shard(1);
   ASSERT_NE(victim, nullptr);
   LsmTree* tree = victim->tree();
   ASSERT_NE(tree, nullptr);

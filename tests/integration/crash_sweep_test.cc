@@ -88,10 +88,18 @@ std::string WipedDir(const std::string& tag) {
   return dir;
 }
 
-ModelState DumpDb(Db* db) {
-  std::vector<std::pair<Key, std::string>> rows;
-  EXPECT_TRUE(db->Scan(0, MaxKeyForSize(8), &rows).ok());
-  return ModelState(rows.begin(), rows.end());
+/// Every live pair of a Db, or of one of its engines.
+template <typename Store>
+ModelState DumpDb(Store* db) {
+  ModelState state;
+  auto it = db->NewIterator();
+  EXPECT_NE(it, nullptr);
+  if (it == nullptr) return state;
+  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+    state.emplace(it->key(), it->value());
+  }
+  EXPECT_TRUE(it->status().ok());
+  return state;
 }
 
 struct RunResult {
@@ -691,7 +699,7 @@ TEST(CrashSweepTest, ShardedKillEveryStepRecoversPerShardPrefixes) {
 
     for (size_t s = 0; s < kShards; ++s) {
       SCOPED_TRACE("shard " + std::to_string(s));
-      Db* shard = db.shard(s);
+      Engine* shard = db.shard(s);
       ASSERT_TRUE(shard->tree()->CheckInvariants(true).ok());
 
       // Zero leaked blocks in this shard's device file.

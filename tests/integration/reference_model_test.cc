@@ -20,7 +20,10 @@ using testing::TreeFixture;
 
 struct Case {
   PolicyKind kind;
-  bool preserve;
+  // An int, not a bool: gtest prints a parameter's raw bytes into the
+  // test's listed name, and a bool here would leave three uninitialized
+  // padding bytes in it, so the name would change from run to run.
+  int preserve;
 };
 
 std::string CaseName(const ::testing::TestParamInfo<Case>& info) {

@@ -579,6 +579,19 @@ struct WorkerGate {
   bool released = false;
 };
 
+// SendRaw returning means only that the bytes left the client; the event
+// loop may not have read them yet. Releasing a WorkerGate before the
+// frames meant to be shed were admitted would let the worker drain the
+// queue first and admit them, so wait (bounded) for the sheds.
+void AwaitShedOverload(const Server& server, uint64_t n) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.counters().frames_shed_overload < n &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
 TEST(ServerTest, OverloadShedsInOrderInsteadOfQueueingUnbounded) {
   WorkerGate gate;
   ServerOptions sopts;
@@ -605,6 +618,7 @@ TEST(ServerTest, OverloadShedsInOrderInsteadOfQueueingUnbounded) {
                               EncodeGetRequest(k))
                     .ok());
   }
+  AwaitShedOverload(*fx.server, 2);
   gate.Release();
 
   // Replies still arrive strictly in request order: three real answers
@@ -663,6 +677,7 @@ TEST(ServerTest, HealthProbesAdmittedWhileOverloadShedsWrites) {
                   .ok());
   ASSERT_TRUE(client->SendRaw(static_cast<uint8_t>(Opcode::kPing), "").ok());
   ASSERT_TRUE(client->SendRaw(static_cast<uint8_t>(Opcode::kStats), "").ok());
+  AwaitShedOverload(*fx.server, 1);
   gate.Release();
 
   // In order: three real PUT acks, the shed PUT, then the two probes —
@@ -709,12 +724,20 @@ TEST(ServerTest, DrainAnswersEveryInFlightFrameThenRejectsLateOnes) {
 
   // Drain while all 32 frames are in flight.
   std::thread drainer([&] { EXPECT_TRUE(fx.server->Drain(5000)); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  ClientOptions copts;
+  copts.port = fx.server->port();
+  // Wait (bounded) for the drain to begin: the epoll thread retires the
+  // listener in the same housekeeping pass that starts the drain, so the
+  // first refused connection proves the drain is under way.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (Client::Connect(copts).ok() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
 
   // The listener is gone: new connections are refused...
   {
-    ClientOptions copts;
-    copts.port = fx.server->port();
     auto refused = Client::Connect(copts);
     EXPECT_FALSE(refused.ok());
   }

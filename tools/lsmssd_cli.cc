@@ -30,8 +30,8 @@
 //       --shards=N hash-partitions keys over N independent LSM shards
 //       (each with its own WAL, device file, and compaction worker); the
 //       layout is recorded in DIR/SHARDS, so later runs may omit the
-//       flag. The stats line then adds the shard count, arbiter seals,
-//       and stall fields aggregated across every shard.
+//       flag. The stats line then adds the shard count, and every
+//       counter (stall fields included) is aggregated across the shards.
 //
 //   lsmssd_cli serve --db-path=DIR [--host=127.0.0.1] [--port=0]
 //                    [--workers=4] [--drain-timeout-ms=5000]
@@ -220,11 +220,9 @@ int CmdRun(const Flags& flags) {
 /// Prints the per-shard index summary and the stats line (shared by the
 /// run and serve epilogues).
 void PrintDbSummary(Db& db) {
-  // One index summary per shard (the facade has no tree of its own);
-  // unsharded output is unchanged.
+  // One index summary per engine; only a sharded Db labels them.
   for (size_t s = 0; s < db.shard_count(); ++s) {
-    const LsmTree& tree =
-        db.shard_count() == 1 ? *db.tree() : *db.shard(s)->tree();
+    const LsmTree& tree = *db.shard(s)->tree();
     std::cout << "\nindex";
     if (db.shard_count() > 1) std::cout << " (shard " << s << ")";
     std::cout << ": " << tree.num_levels() << " levels, "
