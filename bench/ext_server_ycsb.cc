@@ -431,6 +431,7 @@ int Main(int argc, char** argv) {
         "\"checkpoints\": %llu, \"memtables_sealed\": %llu, "
         "\"live_blocks\": %llu, \"manifest_leaves\": %llu, "
         "\"leak_check_ok\": %s, \"frames_processed\": %llu, "
+        "\"frames_inline\": %llu, "
         "\"connections_dropped_malformed\": %llu},\n",
         static_cast<unsigned long long>(rep.scrub_blocks_verified),
         static_cast<unsigned long long>(rep.scrub_corruptions),
@@ -441,6 +442,7 @@ int Main(int argc, char** argv) {
         static_cast<unsigned long long>(rep.manifest_leaves),
         rep.leak_check_ok ? "true" : "false",
         static_cast<unsigned long long>(rep.frames_processed),
+        static_cast<unsigned long long>(rep.frames_inline),
         static_cast<unsigned long long>(rep.connections_dropped_malformed));
     integrity_json = buf;
   } else {
@@ -468,9 +470,11 @@ int Main(int argc, char** argv) {
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "  \"scale\": %g,\n  \"threads\": %zu,\n"
+                  "  \"host_cpus\": %u,\n"
                   "  \"records\": %llu,\n  \"ops_per_workload\": %llu,\n"
                   "  \"window_ms\": %llu,\n  \"load_seconds\": %.3f,\n",
-                  scale, threads, static_cast<unsigned long long>(records),
+                  scale, threads, std::thread::hardware_concurrency(),
+                  static_cast<unsigned long long>(records),
                   static_cast<unsigned long long>(ops),
                   static_cast<unsigned long long>(kWindowMs), load_seconds);
     json += buf;

@@ -89,6 +89,7 @@ StatusOr<EmbeddedServer::Report> EmbeddedServer::Stop() {
 
   Report report;
   report.frames_processed = counters.frames_processed;
+  report.frames_inline = counters.frames_inline;
   report.connections_dropped_malformed =
       counters.connections_dropped_malformed;
   const DbStats stats = db.Stats();

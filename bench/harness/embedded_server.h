@@ -47,6 +47,7 @@ class EmbeddedServer {
   /// the store clean?
   struct Report {
     uint64_t frames_processed = 0;
+    uint64_t frames_inline = 0;  ///< Of those, answered on the event loop.
     uint64_t connections_dropped_malformed = 0;
     uint64_t checkpoints = 0;        ///< Includes background checkpoints.
     uint64_t memtables_sealed = 0;

@@ -447,6 +447,11 @@ StatusOr<std::string> Db::Get(Key key) {
   return EngineOf(key)->Get(key);
 }
 
+std::optional<StatusOr<std::string>> Db::TryGet(Key key) {
+  if (failed()) return Engine::FailedStatus();
+  return EngineOf(key)->TryGet(key);
+}
+
 Status Db::Scan(Key lo, Key hi,
                 std::vector<std::pair<Key, std::string>>* out) {
   if (lo > hi) return Status::InvalidArgument("scan range inverted");

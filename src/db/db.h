@@ -2,6 +2,7 @@
 #define LSMSSD_DB_DB_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -71,6 +72,13 @@ class Db {
   // ---- Reads (shared tree locks; run concurrently with each other) ---
 
   StatusOr<std::string> Get(Key key);
+  /// Get that neither waits for a lock nor reads a file: returns
+  /// std::nullopt when a writer or a merge step holds the engine's tree
+  /// or memtable lock, or is queued for it, when the lookup may read a
+  /// block outside the buffer cache, and whenever the value log is on
+  /// (a found value's resolve reads it); Get's result otherwise. For
+  /// callers that must not block, such as the server's event loop.
+  std::optional<StatusOr<std::string>> TryGet(Key key);
   /// Appends every live pair in [lo, hi] to `out`, in key order.
   Status Scan(Key lo, Key hi, std::vector<std::pair<Key, std::string>>* out);
   /// The returned iterator pins the current state of every engine by

@@ -475,7 +475,7 @@ Status Engine::ApplyLocked(const Record& in, std::unique_lock<std::mutex>& lk) {
   // op that must be refused — compaction wedged on a full device — is
   // refused before it is logged.
   if (dbopts_.background_compaction) {
-    LSMSSD_RETURN_IF_ERROR(MaybeSealOrStallLocked(lk));
+    LSMSSD_RETURN_IF_ERROR(MaybeSealOrStallLocked());
     if (failed()) return FailedStatus();
   }
 
@@ -678,7 +678,7 @@ Status Engine::ForceSyncAllLocked(std::unique_lock<std::mutex>& lk) {
   }
 }
 
-Status Engine::MaybeSealOrStallLocked(std::unique_lock<std::mutex>& lk) {
+Status Engine::MaybeSealOrStallLocked() {
   // Soft throttle: with the queue deep, delay every op a little so the
   // workers gain ground before writers hit the hard wall. The wait holds
   // db_mu_ on purpose — it must slow the whole commit path. It is a
@@ -957,8 +957,28 @@ Status Engine::WaitForCompaction() {
 }
 
 StatusOr<std::string> Engine::Get(Key key) {
+  return *GetImpl(key, /*try_only=*/false);
+}
+
+std::optional<StatusOr<std::string>> Engine::TryGet(Key key) {
+  return GetImpl(key, /*try_only=*/true);
+}
+
+std::optional<StatusOr<std::string>> Engine::GetImpl(Key key, bool try_only) {
   if (failed()) return FailedStatus();
-  std::shared_lock<SharedMutex> tlk(tree_mu_);
+  // try_only ends the lookup with nullopt wherever it would wait: on the
+  // value log (every value found in vlog mode is a pointer, and resolving
+  // it reads a segment file), on a lock held exclusive or with a writer
+  // queued for it (SharedMutex is writer-preferring), and on a block
+  // outside the buffer cache.
+  if (try_only && vlog_on_) return std::nullopt;
+  auto acquire = [try_only](std::shared_lock<SharedMutex>& l) {
+    if (try_only) return l.try_lock();
+    l.lock();
+    return true;
+  };
+  std::shared_lock<SharedMutex> tlk(tree_mu_, std::defer_lock);
+  if (!acquire(tlk)) return std::nullopt;
   // In vlog mode the pointer must be resolved before the read locks drop:
   // holding mem_mu_ shared through the whole lookup keeps a GC rewrite
   // (which commits under mem_mu_ exclusive) from superseding the pointer
@@ -967,24 +987,29 @@ StatusOr<std::string> Engine::Get(Key key) {
   std::shared_lock<SharedMutex> mlk(mem_mu_, std::defer_lock);
   if (vlog_on_) mlk.lock();
 
-  StatusOr<std::string> stored = [&]() -> StatusOr<std::string> {
-    // The memtable probe needs mem_mu_ (writers mutate the active
-    // memtable without tree_mu_); the level walk below runs under
-    // tree_mu_ alone, off the writers' locks — except in vlog mode, where
-    // mlk already pins mem_mu_ for the whole lookup (above).
-    {
-      std::shared_lock<SharedMutex> probe(mem_mu_, std::defer_lock);
-      if (!mlk.owns_lock()) probe.lock();
-      if (const Record* r = tree_->FindInMemtables(key)) {
-        if (r->is_tombstone()) return Status::NotFound("deleted");
-        return r->payload;
-      }
+  // The memtable probe needs mem_mu_ (writers mutate the active memtable
+  // without tree_mu_); the level walk below runs under tree_mu_ alone,
+  // off the writers' locks — except in vlog mode, where mlk already pins
+  // mem_mu_ for the whole lookup (above).
+  std::optional<StatusOr<std::string>> stored;
+  {
+    std::shared_lock<SharedMutex> probe(mem_mu_, std::defer_lock);
+    if (!mlk.owns_lock() && !acquire(probe)) return std::nullopt;
+    if (const Record* r = tree_->FindInMemtables(key)) {
+      if (r->is_tombstone()) return Status::NotFound("deleted");
+      stored = r->payload;
     }
-    return tree_->GetFromLevels(key);
-  }();
-  if (!vlog_on_ || !stored.ok()) return stored;
+  }
+  if (!stored) {
+    // The check and the walk share this tree_mu_ hold, so the levels
+    // cannot change between them; only another reader's cache insert can
+    // evict a checked block in that window, costing the walk one read.
+    if (try_only && tree_->GetFromLevelsReadsDevice(key)) return std::nullopt;
+    stored = tree_->GetFromLevels(key);
+  }
+  if (!vlog_on_ || !stored->ok()) return stored;
   std::string value;
-  LSMSSD_RETURN_IF_ERROR(ResolveVlogValue(stored.value(), key, &value));
+  LSMSSD_RETURN_IF_ERROR(ResolveVlogValue(stored->value(), key, &value));
   return value;
 }
 

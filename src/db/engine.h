@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -285,6 +286,7 @@ class Engine {
   Status Put(Key key, std::string_view payload);
   Status Delete(Key key);
   StatusOr<std::string> Get(Key key);
+  std::optional<StatusOr<std::string>> TryGet(Key key);
   std::unique_ptr<Iterator> NewIterator() const;
 
   Status Checkpoint();
@@ -359,7 +361,7 @@ class Engine {
   /// seals it onto the queue — stalling first if the queue is at
   /// compaction_queue_depth — and kicks the worker. Returns the worker's
   /// sticky error (without applying the op) when compaction is wedged.
-  Status MaybeSealOrStallLocked(std::unique_lock<std::mutex>& lk);
+  Status MaybeSealOrStallLocked();
 
   /// Moves the active memtable onto the sealed queue, publishes the new
   /// depth and counts the seal. Requires mem_mu_ held exclusively.
@@ -444,6 +446,12 @@ class Engine {
   /// the engine is NOT poisoned; the damage is one value, not the instance.
   Status ResolveVlogValue(std::string_view stored, Key key,
                           std::string* out) const;
+  /// Get's body. With `try_only` set it neither waits nor reads a file:
+  /// it returns nullopt when tree_mu_ or mem_mu_ is held exclusive or has
+  /// a writer waiting for it, when the level walk may read a block
+  /// outside the buffer cache, and always in vlog mode. Without it, it
+  /// always returns a value.
+  std::optional<StatusOr<std::string>> GetImpl(Key key, bool try_only);
   /// The WAL-append + tree-apply body of Apply (record already in stored
   /// form); factored out so GC can rewrite entries under its held lock.
   Status ApplyLocked(const Record& record, std::unique_lock<std::mutex>& lk);

@@ -127,6 +127,15 @@ Status Level::Lookup(Key key, Record* out) const {
   return Status::OK();
 }
 
+std::optional<BlockId> Level::BlockForLookup(Key key) const {
+  const size_t i = LowerBoundLeaf(key);
+  if (i == leaves_.size() || leaves_[i].min_key > key) return std::nullopt;
+  if (leaves_[i].filter != nullptr && !leaves_[i].filter->MayContain(key)) {
+    return std::nullopt;
+  }
+  return leaves_[i].block;
+}
+
 std::pair<size_t, size_t> Level::OverlapRange(Key lo, Key hi) const {
   const size_t begin = LowerBoundLeaf(lo);
   size_t end = begin;

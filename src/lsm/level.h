@@ -7,6 +7,7 @@
 #include <vector>
 
 #include <memory>
+#include <optional>
 
 #include "src/format/options.h"
 #include "src/format/record.h"
@@ -100,6 +101,10 @@ class Level {
   /// Point lookup. Returns the level's record for `key` via `*out`;
   /// NotFound if the level has no record for the key.
   Status Lookup(Key key, Record* out) const;
+  /// The block Lookup(key) would read, or nullopt when it reads none (no
+  /// leaf covers `key`, or the leaf's Bloom filter rules it out). Counts
+  /// nothing.
+  std::optional<BlockId> BlockForLookup(Key key) const;
 
   /// Half-open leaf index range [first, second) of leaves whose key ranges
   /// intersect [lo, hi].

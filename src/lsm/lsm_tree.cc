@@ -1,6 +1,7 @@
 #include "src/lsm/lsm_tree.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "src/lsm/merge.h"
 #include "src/util/logging.h"
@@ -220,6 +221,17 @@ StatusOr<std::string> LsmTree::GetFromLevels(Key key) {
     if (!st.IsNotFound()) return st;
   }
   return Status::NotFound("no such key");
+}
+
+bool LsmTree::GetFromLevelsReadsDevice(Key key) const {
+  for (size_t i = 1; i < num_levels(); ++i) {
+    const std::optional<BlockId> block = level(i).BlockForLookup(key);
+    if (!block) continue;
+    if (cache_device_ == nullptr || !cache_device_->cache().Contains(*block)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 StatusOr<std::string> LsmTree::Get(Key key) {

@@ -198,6 +198,11 @@ class LsmTree {
   /// On-SSD half of Get: walks the levels top-down. The caller must have
   /// established that no memtable shadows `key`.
   StatusOr<std::string> GetFromLevels(Key key);
+  /// False when GetFromLevels(key) finds every block it may read in the
+  /// buffer cache, so it reads nothing from the device. Conservative (a
+  /// deeper level's block counts even if a shallower level holds the
+  /// key), and it counts no hit or miss and reorders no cache entry.
+  bool GetFromLevelsReadsDevice(Key key) const;
 
   /// Collects all live (non-deleted) records with keys in [lo, hi], in key
   /// order.

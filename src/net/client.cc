@@ -469,6 +469,7 @@ StatusOr<ServerStats> Client::Stats() {
     else if (k == "scrub_corruptions") stats.scrub_corruptions = v;
     else if (k == "scrub_blocks_verified") stats.scrub_blocks_verified = v;
     else if (k == "frames_processed") stats.frames_processed = v;
+    else if (k == "frames_inline") stats.frames_inline = v;
     else if (k == "connections_dropped") stats.connections_dropped = v;
     else if (k == "frames_shed_overload") stats.frames_shed_overload = v;
     else if (k == "frames_rejected_shutdown") stats.frames_rejected_shutdown = v;

@@ -93,6 +93,7 @@ struct ServerStats {
   uint64_t scrub_corruptions = 0;   ///< Corrupt verdicts since open.
   uint64_t scrub_blocks_verified = 0;
   uint64_t frames_processed = 0;    ///< Server-side request frames handled.
+  uint64_t frames_inline = 0;       ///< Of those, answered on the event loop.
   uint64_t connections_dropped = 0; ///< Malformed-frame connection drops.
   uint64_t frames_shed_overload = 0;   ///< Rejected kOverloaded, unexecuted.
   uint64_t frames_rejected_shutdown = 0; ///< Rejected kShuttingDown.

@@ -18,16 +18,21 @@
 namespace lsmssd::net {
 
 namespace {
+constexpr int kMaxUnsentKernelBytes = 128 << 10;
+
 Status ErrnoStatus(const std::string& what, int err) {
   return Status::IoError(what + ": " + std::strerror(err));
 }
 }  // namespace
 
-/// Per-connection state. The socket, epoll interest, input buffer, and
-/// lifecycle flags belong to the epoll thread alone; `mu` guards only
-/// the state that crosses the worker boundary (pending requests, the
-/// busy flag, and buffered output).
+/// Per-connection state. The epoll interest, input buffer, and lifecycle
+/// flags belong to the epoll thread alone; `mu` guards the state that
+/// crosses the worker boundary (pending requests, the busy flag, buffered
+/// output) and every send on the socket, so a worker may send while the
+/// fd is open: CloseConn sets `aborted` under `mu` before closing it.
 struct Server::Connection {
+  enum class SendResult : uint8_t { kDrained, kBlocked, kBroken };
+
   int fd = -1;
   bool dead = false;           ///< Closed and deregistered.
   bool eof = false;            ///< Peer half-closed; finish then close.
@@ -50,10 +55,42 @@ struct Server::Connection {
   std::mutex mu;
   std::deque<WorkItem> pending;  ///< Decoded requests awaiting a worker.
   bool busy = false;           ///< A worker owns the pending queue.
-  bool aborted = false;        ///< mu-side mirror of `dead`: the peer is
-                               ///< gone; workers skip the queued Db work.
+  bool aborted = false;        ///< Closed, or doomed by a worker (socket
+                               ///< broken, backlog over its cap) and
+                               ///< awaiting the epoll thread's close:
+                               ///< workers skip the queued Db work and
+                               ///< send nothing.
+  bool watched = false;        ///< The epoll thread waits on the worker
+                               ///< (reading paused, or close once idle):
+                               ///< it signals after each batch swap and
+                               ///< when it goes idle.
   std::string outbuf;          ///< Encoded responses awaiting the socket.
   size_t out_off = 0;
+
+  size_t backlog() const { return outbuf.size() - out_off; }
+
+  /// Sends as much of outbuf as the socket takes without blocking.
+  /// Requires mu.
+  SendResult Send() {
+    SendResult r = SendResult::kDrained;
+    while (out_off < outbuf.size()) {
+      const ssize_t n = send(fd, outbuf.data() + out_off,
+                             outbuf.size() - out_off,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        r = (errno == EAGAIN || errno == EWOULDBLOCK) ? SendResult::kBlocked
+                                                      : SendResult::kBroken;
+        break;
+      }
+      out_off += static_cast<size_t>(n);
+    }
+    if (out_off == outbuf.size()) {
+      outbuf.clear();
+      out_off = 0;
+    }
+    return r;
+  }
 };
 
 StatusOr<std::unique_ptr<Server>> Server::Start(const ServerOptions& opts,
@@ -172,6 +209,7 @@ ServerCounters Server::counters() const {
   c.connections_accepted = connections_accepted_.load();
   c.connections_dropped_malformed = connections_dropped_malformed_.load();
   c.frames_processed = frames_processed_.load();
+  c.frames_inline = frames_inline_.load();
   c.unsupported_version_frames = unsupported_version_frames_.load();
   c.frames_shed_overload = frames_shed_overload_.load();
   c.frames_rejected_shutdown = frames_rejected_shutdown_.load();
@@ -260,6 +298,12 @@ void Server::AcceptNew() {
     }
     int one = 1;
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    // Bound what the kernel queues beyond the peer's receive window:
+    // sends report EAGAIN past it, so the responses of a client that does
+    // not read pile up in outbuf, where max_conn_backlog_bytes sees them,
+    // instead of in a send buffer that autotunes to megabytes.
+    setsockopt(fd, IPPROTO_TCP, TCP_NOTSENT_LOWAT, &kMaxUnsentKernelBytes,
+               sizeof(kMaxUnsentKernelBytes));
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
     conns_[fd] = conn;
@@ -274,7 +318,11 @@ void Server::AcceptNew() {
 
 void Server::HandleReadable(const std::shared_ptr<Connection>& conn) {
   char buf[64 * 1024];
-  while (!conn->dead && conn->epollin_armed) {
+  // Inline answers make parsing cost Db work, so one readiness event
+  // reads a bounded amount; epoll is level-triggered and reports the
+  // rest on its next pass, after the other ready connections.
+  for (int reads = 0; reads < 4 && !conn->dead && conn->epollin_armed;
+       ++reads) {
     const ssize_t n = recv(conn->fd, buf, sizeof(buf), MSG_DONTWAIT);
     if (n > 0) {
       conn->inbuf.append(buf, static_cast<size_t>(n));
@@ -290,24 +338,15 @@ void Server::HandleReadable(const std::shared_ptr<Connection>& conn) {
     CloseConn(conn);
     return;
   }
-  if (conn->dead) return;
-  if (conn->eof) {
-    bool idle;
-    {
-      std::lock_guard<std::mutex> l(conn->mu);
-      idle = !conn->busy && conn->pending.empty() && conn->outbuf.empty();
-    }
-    if (idle) {
-      CloseConn(conn);
-    } else {
-      conn->closing = true;  // Deliver what is in flight, then close.
-    }
-  }
+  // At EOF, deliver what is in flight, then close (TryFlush closes an
+  // idle connection now and has the worker report when it goes idle).
+  if (!conn->dead && conn->eof) TryFlush(conn);
 }
 
 void Server::ParseFrames(const std::shared_ptr<Connection>& conn) {
   size_t pos = 0;
   bool paused = false;
+  bool answered_inline = false;
   while (!conn->dead && !paused) {
     Frame frame;
     size_t consumed = 0;
@@ -362,6 +401,9 @@ void Server::ParseFrames(const std::shared_ptr<Connection>& conn) {
       // no Db work, so admitting them cannot deepen the overload.
       kind = Kind::kShedOverload;
       frames_shed_overload_.fetch_add(1, std::memory_order_relaxed);
+    } else if (AnswerInline(conn, frame)) {
+      answered_inline = true;
+      continue;
     } else {
       pending_frames_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -375,6 +417,9 @@ void Server::ParseFrames(const std::shared_ptr<Connection>& conn) {
         enqueue = true;
       }
       paused = conn->pending.size() >= opts_.max_pipelined_requests;
+      // Pipelining backpressure (below): have the worker report its
+      // progress so TryFlush can resume reading.
+      if (paused) conn->watched = true;
     }
     if (enqueue) EnqueueWork(conn);
   }
@@ -385,45 +430,66 @@ void Server::ParseFrames(const std::shared_ptr<Connection>& conn) {
     conn->epollin_armed = false;
     UpdateEpollInterest(conn);
   }
+  // One flush for every inline answer, after the erase: TryFlush may
+  // re-parse inbuf, which must no longer hold the consumed frames.
+  if (answered_inline) TryFlush(conn);
+}
+
+bool Server::AnswerInline(const std::shared_ptr<Connection>& conn,
+                          const Frame& frame) {
+  if (frame.opcode != static_cast<uint8_t>(Opcode::kGet) &&
+      frame.opcode != static_cast<uint8_t>(Opcode::kPing)) {
+    return false;
+  }
+  {
+    // Only this thread queues a connection's work, so an idle connection
+    // stays idle until this frame is answered: the reply cannot overtake
+    // an earlier request's. An aborted connection awaits its close; the
+    // frame joins the queue its worker skips.
+    std::lock_guard<std::mutex> l(conn->mu);
+    if (conn->busy || !conn->pending.empty() || conn->aborted) return false;
+  }
+  std::optional<std::string> reply =
+      HandleRequest(frame, /*on_event_loop=*/true);
+  if (!reply) return false;  // The lookup would wait: a worker runs it.
+  frames_processed_.fetch_add(1, std::memory_order_relaxed);
+  frames_inline_.fetch_add(1, std::memory_order_relaxed);
+  // ParseFrames' TryFlush sends the reply, or closes the connection if
+  // the reply evicted it; the wake Respond asks for is not needed here.
+  bool unused_signal = false;
+  Respond(conn, *reply, /*last=*/false, &unused_signal);
+  return true;
 }
 
 void Server::TryFlush(const std::shared_ptr<Connection>& conn) {
   if (conn->dead) return;
-  bool blocked = false;
-  bool broken = false;
+  using SendResult = Connection::SendResult;
+  SendResult sent;
   bool idle = false;
+  bool resume = false;
   size_t backlog_bytes = 0;
   {
     std::lock_guard<std::mutex> l(conn->mu);
-    while (conn->out_off < conn->outbuf.size()) {
-      const ssize_t n =
-          send(conn->fd, conn->outbuf.data() + conn->out_off,
-               conn->outbuf.size() - conn->out_off,
-               MSG_NOSIGNAL | MSG_DONTWAIT);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          blocked = true;
-          break;
-        }
-        broken = true;
-        break;
-      }
-      conn->out_off += static_cast<size_t>(n);
-    }
-    if (conn->out_off == conn->outbuf.size()) {
-      conn->outbuf.clear();
-      conn->out_off = 0;
-    }
-    backlog_bytes = conn->outbuf.size() - conn->out_off;
+    // Aborted but not yet dead: a worker found the socket broken or
+    // the backlog over its cap (and counted the eviction); just close.
+    sent = conn->aborted ? SendResult::kBroken : conn->Send();
+    backlog_bytes = conn->backlog();
     idle = !conn->busy && conn->pending.empty() && conn->outbuf.empty();
+    // Closing once idle: the worker that makes it idle must say so. Set
+    // in the same critical section as the idle check, so either this
+    // pass sees the connection idle or the worker sees the flag.
+    if ((conn->closing || conn->eof) && !idle) conn->watched = true;
+    // Resume reading once the pipeline backlog has drained.
+    resume = sent == SendResult::kDrained && !conn->epollin_armed &&
+             !conn->closing && !conn->eof &&
+             conn->pending.size() < opts_.max_pipelined_requests / 2 + 1;
+    if (resume) conn->watched = false;
   }
-  if (broken) {
+  if (sent == SendResult::kBroken) {
     CloseConn(conn);
     return;
   }
-  if (opts_.max_conn_backlog_bytes > 0 &&
-      backlog_bytes > opts_.max_conn_backlog_bytes) {
+  if (OverBacklogCap(backlog_bytes)) {
     // Slow-client eviction: the peer pipelines requests but does not
     // read responses; its backlog, not the worker pool, is the memory
     // it is consuming. Dropping the connection frees it — the client
@@ -432,7 +498,7 @@ void Server::TryFlush(const std::shared_ptr<Connection>& conn) {
     CloseConn(conn);
     return;
   }
-  if (blocked) {
+  if (sent == SendResult::kBlocked) {
     if (!conn->epollout_armed) {
       conn->epollout_armed = true;
       UpdateEpollInterest(conn);
@@ -447,18 +513,10 @@ void Server::TryFlush(const std::shared_ptr<Connection>& conn) {
     CloseConn(conn);
     return;
   }
-  // Resume reading once the pipeline backlog has drained.
-  if (!conn->epollin_armed && !conn->closing && !conn->eof) {
-    size_t backlog;
-    {
-      std::lock_guard<std::mutex> l(conn->mu);
-      backlog = conn->pending.size();
-    }
-    if (backlog < opts_.max_pipelined_requests / 2 + 1) {
-      conn->epollin_armed = true;
-      UpdateEpollInterest(conn);
-      ParseFrames(conn);  // Frames may already be buffered past the pause.
-    }
+  if (resume) {
+    conn->epollin_armed = true;
+    UpdateEpollInterest(conn);
+    ParseFrames(conn);  // Frames may already be buffered past the pause.
   }
 }
 
@@ -528,19 +586,30 @@ void Server::WorkerLoop() {
     }
     // Drain this connection until its pipeline is empty. Only one worker
     // holds a given connection at a time (the busy flag), so requests
-    // execute — and respond — strictly in receive order.
+    // execute — and respond — strictly in receive order. Responses go
+    // out from here; the epoll thread hears of this connection only when
+    // it must act (see Respond and Connection::watched).
+    bool signal = false;
     while (true) {
       std::deque<Connection::WorkItem> batch;
       bool aborted = false;
+      bool idle = false;
       {
         std::lock_guard<std::mutex> l(conn->mu);
+        signal = signal || conn->watched;
         if (conn->pending.empty()) {
           conn->busy = false;
-          break;
+          idle = true;
+        } else {
+          batch.swap(conn->pending);
+          aborted = conn->aborted;
         }
-        batch.swap(conn->pending);
-        aborted = conn->aborted;
       }
+      if (signal) {
+        SignalFlush(conn);
+        signal = false;
+      }
+      if (idle) break;
       int64_t executes = 0;
       for (const Connection::WorkItem& item : batch) {
         if (item.kind == Connection::WorkItem::Kind::kExecute) ++executes;
@@ -551,40 +620,62 @@ void Server::WorkerLoop() {
       if (aborted) continue;  // Peer gone: nobody will read the responses,
                               // so skip the Db work (and any duplicate
                               // application a retrying client would risk).
-      std::string out;
-      for (const Connection::WorkItem& item : batch) {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        const Connection::WorkItem& item = batch[i];
         const uint8_t response_op =
             static_cast<uint8_t>(item.frame.opcode | kResponseBit);
+        std::string reply;
         switch (item.kind) {
           case Connection::WorkItem::Kind::kExecute:
-            out.append(HandleRequest(item.frame));
+            if (opts_.worker_hook_for_testing) opts_.worker_hook_for_testing();
+            reply = *HandleRequest(item.frame, /*on_event_loop=*/false);
+            frames_processed_.fetch_add(1, std::memory_order_relaxed);
             break;
           case Connection::WorkItem::Kind::kShedOverload:
-            out.append(EncodeFrame(
+            reply = EncodeFrame(
                 response_op,
-                EncodeOverloadedResponse(opts_.overload_retry_after_ms)));
+                EncodeOverloadedResponse(opts_.overload_retry_after_ms));
             break;
           case Connection::WorkItem::Kind::kShedShutdown:
-            out.append(EncodeFrame(
+            reply = EncodeFrame(
                 response_op,
                 EncodeProtocolErrorResponse(WireError::kShuttingDown,
-                                            "server draining")));
+                                            "server draining"));
             break;
         }
+        // Gone or evicted: the rest of the batch is not executed.
+        if (!Respond(conn, reply, i + 1 == batch.size(), &signal)) break;
       }
-      {
-        std::lock_guard<std::mutex> l(conn->mu);
-        conn->outbuf.append(out);
-      }
-      SignalFlush(conn);
     }
-    SignalFlush(conn);  // Final idle/close check for this connection.
   }
 }
 
-std::string Server::HandleRequest(const Frame& frame) {
-  if (opts_.worker_hook_for_testing) opts_.worker_hook_for_testing();
-  frames_processed_.fetch_add(1, std::memory_order_relaxed);
+bool Server::Respond(const std::shared_ptr<Connection>& conn,
+                     std::string_view reply, bool last, bool* signal) {
+  using SendResult = Connection::SendResult;
+  std::lock_guard<std::mutex> l(conn->mu);
+  if (conn->aborted) return false;
+  conn->outbuf.append(reply);
+  // One send per batch, plus one whenever the backlog passes the cap.
+  SendResult sent = SendResult::kDrained;
+  if (last || OverBacklogCap(conn->backlog())) sent = conn->Send();
+  if (sent == SendResult::kBroken || OverBacklogCap(conn->backlog())) {
+    // The backlog cap holds per response: this one still exceeds it
+    // after a send. Either way the connection is done; the epoll thread
+    // closes it.
+    if (sent != SendResult::kBroken) {
+      connections_dropped_slow_.fetch_add(1, std::memory_order_relaxed);
+    }
+    conn->aborted = true;
+    *signal = true;
+    return false;
+  }
+  if (sent == SendResult::kBlocked) *signal = true;  // Arm EPOLLOUT.
+  return true;
+}
+
+std::optional<std::string> Server::HandleRequest(const Frame& frame,
+                                                 bool on_event_loop) {
   const uint8_t response_op =
       static_cast<uint8_t>(frame.opcode | kResponseBit);
   auto malformed = [&](const char* what) {
@@ -598,9 +689,11 @@ std::string Server::HandleRequest(const Frame& frame) {
       if (!DecodeGetRequest(frame.payload, &key)) {
         return malformed("undecodable GET payload");
       }
-      StatusOr<std::string> value = db_->Get(key);
-      body = value.ok() ? EncodeGetResponse(value.value())
-                        : EncodeErrorResponse(value.status());
+      std::optional<StatusOr<std::string>> value =
+          on_event_loop ? db_->TryGet(key) : db_->Get(key);
+      if (!value) return std::nullopt;
+      body = value->ok() ? EncodeGetResponse(value->value())
+                         : EncodeErrorResponse(value->status());
       break;
     }
     case Opcode::kPut: {
@@ -694,6 +787,7 @@ std::string Server::BuildStatsText() {
   line("scrub_corruptions", s.scrub_corruptions_found);
   line("scrub_blocks_verified", s.scrub_blocks_verified);
   line("frames_processed", frames_processed_.load());
+  line("frames_inline", frames_inline_.load());
   line("connections_dropped", connections_dropped_malformed_.load());
   line("frames_shed_overload", frames_shed_overload_.load());
   line("frames_rejected_shutdown", frames_rejected_shutdown_.load());

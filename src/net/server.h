@@ -8,7 +8,9 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -48,12 +50,15 @@ struct ServerOptions {
   uint32_t overload_retry_after_ms = 10;
   /// Slow-client eviction: a connection whose unsent response backlog
   /// exceeds this many bytes after a flush attempt is dropped (counted in
-  /// connections_dropped_slow). Protects server memory from clients that
-  /// pipeline requests but never read responses. 0 disables.
+  /// connections_dropped_slow), checked after every response, and its
+  /// remaining pipelined requests are not executed. Protects server
+  /// memory from clients that pipeline requests but never read
+  /// responses. 0 disables.
   size_t max_conn_backlog_bytes = 8u << 20;
   int listen_backlog = 128;
   /// Test seam: when set, workers call this once per executed request,
-  /// before touching the Db. Lets tests hold the pool busy at a barrier.
+  /// before touching the Db (requests answered on the event loop skip
+  /// it). Lets tests hold the pool busy at a barrier.
   std::function<void()> worker_hook_for_testing;
 };
 
@@ -63,6 +68,7 @@ struct ServerCounters {
   uint64_t connections_accepted = 0;
   uint64_t connections_dropped_malformed = 0;  ///< Frame-level garbage.
   uint64_t frames_processed = 0;               ///< Request frames executed.
+  uint64_t frames_inline = 0;  ///< Of those, answered on the event loop.
   uint64_t unsupported_version_frames = 0;
   uint64_t frames_shed_overload = 0;     ///< Answered kOverloaded, unexecuted.
   uint64_t frames_rejected_shutdown = 0; ///< Answered kShuttingDown (drain).
@@ -71,13 +77,24 @@ struct ServerCounters {
 
 /// Pipelined binary-protocol server over one Db.
 ///
-/// Architecture: one epoll thread owns every socket (accept, read, frame
-/// decode, response flush); a pool of worker threads executes decoded
-/// requests against the Db and hands encoded responses back for the
-/// epoll thread to write. A connection's requests execute strictly in
-/// receive order (one worker per connection at a time), so clients may
-/// pipeline freely; different connections execute concurrently, which is
-/// what batches their writes into one group-commit fsync.
+/// Architecture: one epoll thread owns every socket's lifecycle (accept,
+/// read, frame decode, close) and a pool of worker threads executes
+/// decoded requests against the Db. A request is answered on the thread
+/// that reads it when it needs neither a wait nor device I/O: an admitted
+/// GET or PING on a connection with nothing queued or executing runs on
+/// the epoll thread, with Db::TryGet, so a GET whose engine lock is held
+/// or awaited by a writer or a merge step, or whose answer needs a block
+/// outside the buffer cache or a value-log read, goes to a worker. Every
+/// other request (PUT, DELETE, SCAN, STATS: WAL appends, fsyncs, stalls
+/// or unbounded work) goes to a worker, which sends its responses itself
+/// and wakes the epoll thread only when it must act: the socket would
+/// block or broke, the backlog cap evicted the connection, or the epoll
+/// thread is waiting on the connection (reading paused, or close once
+/// idle). A connection's requests execute strictly in receive order (one
+/// worker per connection at a time, and an inline answer only when no
+/// earlier request is pending), so clients may pipeline freely; different
+/// connections execute concurrently, which is what batches their writes
+/// into one group-commit fsync.
 ///
 /// Protocol errors are two-tier (see wire.h): a CRC-valid frame with an
 /// undecodable payload gets a kMalformedRequest error response; a frame
@@ -128,10 +145,18 @@ class Server {
   // ---- Epoll-thread-only connection management ------------------------
   void AcceptNew();
   void HandleReadable(const std::shared_ptr<Connection>& conn);
-  /// Parses every complete frame in conn->inbuf, queueing work.
+  /// Parses every complete frame in conn->inbuf, answering what it can
+  /// inline and queueing the rest, then flushes the inline answers.
   void ParseFrames(const std::shared_ptr<Connection>& conn);
+  /// Answers an admitted GET or PING on the event loop when `conn` has no
+  /// earlier request pending, is not aborted, and the Db lookup neither
+  /// waits for a lock nor reads the device; the reply goes through
+  /// Respond. False: the frame must go to a worker.
+  bool AnswerInline(const std::shared_ptr<Connection>& conn,
+                    const Frame& frame);
   /// Writes as much buffered output as the socket accepts; arms/disarms
-  /// EPOLLOUT; closes the connection when it is finished or broken.
+  /// EPOLLOUT; closes the connection when it is finished, broken or
+  /// evicted.
   void TryFlush(const std::shared_ptr<Connection>& conn);
   void UpdateEpollInterest(const std::shared_ptr<Connection>& conn);
   void CloseConn(const std::shared_ptr<Connection>& conn);
@@ -141,9 +166,24 @@ class Server {
   // ---- Worker side ----------------------------------------------------
   void EnqueueWork(const std::shared_ptr<Connection>& conn);
   /// Executes one decoded request, returning the encoded response frame.
-  std::string HandleRequest(const Frame& frame);
+  /// `on_event_loop` makes a GET use Db::TryGet and return nullopt when
+  /// that would block; only GET and PING may run on the event loop.
+  std::optional<std::string> HandleRequest(const Frame& frame,
+                                           bool on_event_loop);
+  /// Appends one response to conn's output, and sends what the socket
+  /// takes when it is the batch's `last` or the backlog is over the cap.
+  /// Returns false when the connection is gone or this response left it
+  /// over the cap after the send (it is then aborted, and a worker skips
+  /// the rest of its frames); sets *signal when the epoll thread must act.
+  /// The one place the backlog cap evicts and counts an eviction.
+  bool Respond(const std::shared_ptr<Connection>& conn,
+               std::string_view reply, bool last, bool* signal);
+  bool OverBacklogCap(size_t backlog_bytes) const {
+    return opts_.max_conn_backlog_bytes > 0 &&
+           backlog_bytes > opts_.max_conn_backlog_bytes;
+  }
   std::string BuildStatsText();
-  /// Signals the epoll thread that `conn` has new output.
+  /// Asks the epoll thread to TryFlush `conn`.
   void SignalFlush(const std::shared_ptr<Connection>& conn);
 
   ServerOptions opts_;
@@ -151,7 +191,7 @@ class Server {
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
-  int wake_fd_ = -1;  ///< eventfd: worker output ready, or Stop().
+  int wake_fd_ = -1;  ///< eventfd: a connection needs TryFlush, or Stop().
   uint16_t port_ = 0;
 
   std::thread epoll_thread_;
@@ -161,8 +201,9 @@ class Server {
   bool started_ = false;
   bool drain_begun_ = false;  ///< Epoll thread: drain housekeeping done.
 
-  /// Decoded-but-unexecuted requests across all connections (shed markers
-  /// excluded) — the quantity max_pending_frames caps.
+  /// Requests queued for a worker across all connections (shed markers
+  /// and inline answers never count) — the quantity max_pending_frames
+  /// caps.
   std::atomic<int64_t> pending_frames_{0};
   /// Open connections; Drain() waits for this to reach zero.
   std::atomic<int64_t> live_conns_{0};
@@ -180,6 +221,7 @@ class Server {
   std::atomic<uint64_t> connections_accepted_{0};
   std::atomic<uint64_t> connections_dropped_malformed_{0};
   std::atomic<uint64_t> frames_processed_{0};
+  std::atomic<uint64_t> frames_inline_{0};
   std::atomic<uint64_t> unsupported_version_frames_{0};
   std::atomic<uint64_t> frames_shed_overload_{0};
   std::atomic<uint64_t> frames_rejected_shutdown_{0};

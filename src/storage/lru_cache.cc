@@ -24,6 +24,11 @@ std::shared_ptr<const BlockData> LruCache::Get(BlockId id) {
   return it->second->data;
 }
 
+bool LruCache::Contains(BlockId id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return map_.contains(id);
+}
+
 void LruCache::Put(BlockId id, BlockData data) {
   Put(id, std::make_shared<const BlockData>(std::move(data)));
 }

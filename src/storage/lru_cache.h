@@ -33,6 +33,10 @@ class LruCache {
   /// the entry most-recently-used.
   std::shared_ptr<const BlockData> Get(BlockId id);
 
+  /// Whether `id` is cached. Unlike Get, counts no hit or miss and leaves
+  /// the LRU order alone.
+  bool Contains(BlockId id) const;
+
   /// Inserts (or refreshes) `id`. Evicts least-recently-used unpinned
   /// entries as needed. If everything is pinned and the cache is full, the
   /// insert is skipped (cache stays consistent, caller unaffected).

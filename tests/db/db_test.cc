@@ -6,6 +6,7 @@
 #include <chrono>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -509,6 +510,139 @@ TEST(DbTest, InjectedWalFaultPoisonsTheInstanceUntilReopen) {
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_TRUE(reopened.value()->Get(1).ok());  // Acked+synced survives.
   EXPECT_TRUE(reopened.value()->Get(2).status().IsNotFound());
+}
+
+// Fills a Db so keys 1..kTryGetKeys sit in every tier: the levels, the
+// L0 buffer and the active memtable; every seventh write deletes an
+// earlier key.
+constexpr Key kTryGetKeys = 600;
+void FillEveryTier(Db& db, const DbOptions& dbopts) {
+  for (Key k = 1; k <= kTryGetKeys; ++k) {
+    ASSERT_TRUE(db.Put(k, MakePayload(dbopts.options, k)).ok());
+    if (k % 7 == 0) {
+      ASSERT_TRUE(db.Delete(k - 3).ok());
+    }
+  }
+}
+
+// Uncontended, with every block in the buffer cache, TryGet is Get: the
+// same answer wherever the key lives (active memtable, sealed memtable,
+// L0 buffer, levels), for live keys, tombstones and keys never written,
+// and no block read from the device.
+TEST(DbTest, UncontendedTryGetMatchesGetInEveryTier) {
+  const std::string dir = FreshDir("tryget");
+  DbOptions dbopts = TinyDbOptions();
+  dbopts.options.cache_blocks = 1 << 12;  // Write-through: all resident.
+  auto db_or = Db::Open(dbopts, dir);
+  ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
+  Db& db = *db_or.value();
+  FillEveryTier(db, dbopts);
+  auto expect_same = [&](const char* when) {
+    const uint64_t reads = db.Stats().io.block_reads();
+    for (Key k = 0; k <= kTryGetKeys + 5; ++k) {
+      const std::optional<StatusOr<std::string>> tried = db.TryGet(k);
+      const StatusOr<std::string> got = db.Get(k);
+      ASSERT_TRUE(tried.has_value()) << when << " key " << k;
+      ASSERT_EQ(tried->status().code(), got.status().code())
+          << when << " key " << k;
+      if (got.ok()) {
+        EXPECT_EQ(tried->value(), got.value()) << when << " key " << k;
+      }
+    }
+    EXPECT_EQ(db.Stats().io.block_reads(), reads) << when;
+  };
+  LsmTree& tree = *db.tree();
+  ASSERT_GT(tree.num_levels(), 1u);
+  ASSERT_GT(tree.l0_buffer_records(), 0u);
+  ASSERT_NE(tree.FindInMemtables(kTryGetKeys), nullptr);  // Active.
+  ASSERT_EQ(tree.sealed_count(), 0u);
+  expect_same("active");
+  // Diagnostic access: seal the active memtable in place, so its keys
+  // are answered from a sealed memtable (no write follows to drain it).
+  tree.SealMemtable();
+  ASSERT_EQ(tree.sealed_count(), 1u);
+  ASSERT_NE(tree.FindInMemtables(kTryGetKeys), nullptr);
+  expect_same("sealed");
+}
+
+// TryGet reads no file: without a buffer cache a key in the levels is
+// left to Get (nullopt) while memtable keys and keys outside every leaf
+// are answered, and with the value log on every lookup is left to Get.
+TEST(DbTest, TryGetLeavesDeviceAndValueLogReadsToGet) {
+  for (const bool vlog : {false, true}) {
+    SCOPED_TRACE(vlog ? "vlog on" : "vlog off");
+    const std::string dir = FreshDir(vlog ? "tryget_io_vlog" : "tryget_io");
+    DbOptions dbopts = TinyDbOptions();  // cache_blocks = 0.
+    if (vlog) dbopts.options.vlog_value_threshold = 17;  // Every value.
+    auto db_or = Db::Open(dbopts, dir);
+    ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
+    Db& db = *db_or.value();
+    FillEveryTier(db, dbopts);
+    LsmTree& tree = *db.tree();
+    ASSERT_GT(tree.num_levels(), 1u);
+    const uint64_t reads = db.Stats().io.block_reads();
+    size_t answered = 0, left = 0;
+    for (Key k = 0; k <= kTryGetKeys + 5; ++k) {
+      const std::optional<StatusOr<std::string>> tried = db.TryGet(k);
+      if (vlog) {
+        EXPECT_FALSE(tried.has_value()) << "key " << k;
+        continue;
+      }
+      if (tree.FindInMemtables(k) != nullptr || k > kTryGetKeys) {
+        EXPECT_TRUE(tried.has_value()) << "key " << k;
+      }
+      if (!tried.has_value()) {
+        ++left;
+        continue;
+      }
+      ++answered;
+      const StatusOr<std::string> got = db.Get(k);
+      ASSERT_EQ(tried->status().code(), got.status().code()) << "key " << k;
+      if (got.ok()) {
+        EXPECT_EQ(tried->value(), got.value()) << "key " << k;
+      }
+    }
+    if (!vlog) {
+      EXPECT_GT(answered, 0u);
+      EXPECT_GT(left, 0u);
+    }
+    // Neither the TryGets nor the Gets of the keys they answered read a
+    // block.
+    EXPECT_EQ(db.Stats().io.block_reads(), reads);
+  }
+}
+
+// TryGet reports "would block" instead of waiting: an open iterator pins
+// the shared locks and a Put queues behind it for mem_mu_ exclusive;
+// from then on every shared acquisition would wait for that writer.
+TEST(DbTest, TryGetReportsWouldBlockWhileAWriterWaits) {
+  const std::string dir = FreshDir("tryget_busy");
+  const DbOptions dbopts = TinyDbOptions();
+  auto db_or = Db::Open(dbopts, dir);
+  ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
+  Db& db = *db_or.value();
+  ASSERT_TRUE(db.Put(1, MakePayload(dbopts.options, 1)).ok());
+  ASSERT_TRUE(db.TryGet(1).has_value());
+
+  std::unique_ptr<Iterator> pin = db.NewIterator();
+  ASSERT_NE(pin, nullptr);
+  std::thread writer(
+      [&] { EXPECT_TRUE(db.Put(2, MakePayload(dbopts.options, 2)).ok()); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  bool would_block = false;
+  while (!would_block && std::chrono::steady_clock::now() < deadline) {
+    would_block = !db.TryGet(1).has_value();
+    if (!would_block) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(would_block) << "TryGet never saw the queued writer";
+  pin.reset();
+  writer.join();
+
+  const std::optional<StatusOr<std::string>> after = db.TryGet(2);
+  ASSERT_TRUE(after.has_value());
+  ASSERT_TRUE(after->ok()) << after->status().ToString();
+  EXPECT_EQ(after->value(), MakePayload(dbopts.options, 2));
 }
 
 }  // namespace

@@ -11,15 +11,20 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <filesystem>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +32,7 @@
 #include <gtest/gtest.h>
 
 #include "src/db/db.h"
+#include "src/lsm/lsm_tree.h"
 #include "src/net/client.h"
 #include "src/util/crc32c.h"
 #include "tests/test_util.h"
@@ -603,10 +609,12 @@ TEST(ServerTest, OverloadShedsInOrderInsteadOfQueueingUnbounded) {
   auto client = fx.Connect();
 
   // Frame #1 is swapped into the worker's batch (leaving the pending
-  // count at zero) and then parks inside the gate.
+  // count at zero) and then parks inside the gate. It is a PUT: a GET on
+  // an idle connection would be answered on the event loop and never
+  // reach the worker.
   ASSERT_TRUE(client
-                  ->SendRaw(static_cast<uint8_t>(Opcode::kGet),
-                            EncodeGetRequest(1))
+                  ->SendRaw(static_cast<uint8_t>(Opcode::kPut),
+                            EncodePutRequest(1, Payload(fx.db->options(), 1)))
                   .ok());
   gate.AwaitEntered();
 
@@ -622,14 +630,16 @@ TEST(ServerTest, OverloadShedsInOrderInsteadOfQueueingUnbounded) {
   gate.Release();
 
   // Replies still arrive strictly in request order: three real answers
-  // (NotFound on an empty store), then two kOverloaded rejections that
-  // carry the configured retry-after hint.
+  // (the PUT's OK, then NotFound for keys never written), then two
+  // kOverloaded rejections that carry the configured retry-after hint.
   for (Key k = 1; k <= 5; ++k) {
     Frame frame;
     ASSERT_TRUE(client->ReceiveResponse(&frame).ok()) << k;
     std::string_view body;
     const Status st = DecodeResponseStatus(frame.payload, &body);
-    if (k <= 3) {
+    if (k == 1) {
+      EXPECT_TRUE(st.ok()) << k << ": " << st.ToString();
+    } else if (k <= 3) {
       EXPECT_TRUE(st.IsNotFound()) << k << ": " << st.ToString();
     } else {
       EXPECT_TRUE(st.IsUnavailable()) << k << ": " << st.ToString();
@@ -721,6 +731,16 @@ TEST(ServerTest, DrainAnswersEveryInFlightFrameThenRejectsLateOnes) {
     }
   }
   gate.AwaitEntered();
+  // Barrier: the event loop answers a wrong-version frame itself and
+  // handles ready sockets in the order they became ready, so once this
+  // reply is back every PUT above has been read and queued. Without it
+  // the drain could close a connection whose PUTs were still unread.
+  {
+    RawConn barrier(fx.server->port());
+    barrier.Send(HandEncodeFrame(kWireVersion + 1,
+                                 static_cast<uint8_t>(Opcode::kPing), ""));
+    ASSERT_FALSE(barrier.ReadUntilEof().empty());
+  }
 
   // Drain while all 32 frames are in flight.
   std::thread drainer([&] { EXPECT_TRUE(fx.server->Drain(5000)); });
@@ -841,6 +861,15 @@ TEST(ServerTest, SlowClientIsEvictedByBacklogCapNotBufferedForever) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_EQ(fx.server->counters().connections_dropped_slow, 1u);
+  // The server's own backlog sees a non-reading client within a few
+  // responses (the kernel holds little unsent data per socket), and the
+  // worker stops executing the pipeline at the response that leaves the
+  // backlog over the cap instead of running every doomed ~16 KiB scan.
+  const uint64_t scans_executed =
+      fx.server->counters().frames_processed - kSeeded;
+  EXPECT_LT(scans_executed, 100u);
+  std::printf("slow client: %llu scans executed before the eviction\n",
+              static_cast<unsigned long long>(scans_executed));
   ::close(fd);
 
   // The abuse cost one connection, not the server: a polite client is
@@ -849,6 +878,372 @@ TEST(ServerTest, SlowClientIsEvictedByBacklogCapNotBufferedForever) {
   auto got = client->Get(1);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(*got, Payload(options, 1));
+}
+
+// A connection the backlog cap evicted awaits the event loop's close;
+// frames read in that window join the queue its worker skips and are not
+// answered on the event loop. The reader pipelines scans (the first one
+// makes the connection busy, and the eviction comes well within them),
+// then pours GETs and PINGs, which the event loop would answer itself on
+// an idle connection, until the server resets it.
+TEST(ServerTest, EvictedConnectionAnswersNothingOnTheEventLoop) {
+  ServerOptions sopts;
+  sopts.max_conn_backlog_bytes = 1024;
+  ServerFixture fx("slowinline", TinyDbOptions(), sopts);
+  const Options& options = fx.db->options();
+  constexpr Key kSeeded = 500;  // ~16 KiB per full-range scan response.
+  for (Key k = 1; k <= kSeeded; ++k) {
+    ASSERT_TRUE(fx.db->Put(k, Payload(options, k)).ok());
+  }
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int tiny = 4096;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &tiny, sizeof(tiny)), 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(fx.server->port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  std::string scans;
+  for (int i = 0; i < 100; ++i) {
+    scans += EncodeFrame(static_cast<uint8_t>(Opcode::kScan),
+                         EncodeScanRequest(1, kSeeded, 0));
+  }
+  ASSERT_EQ(::send(fd, scans.data(), scans.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(scans.size()));
+  // A key past every leaf: an idle connection's GET of it needs no block
+  // read, so only the eviction keeps it off the event loop.
+  const std::string reads =
+      EncodeFrame(static_cast<uint8_t>(Opcode::kGet),
+                  EncodeGetRequest(kSeeded * 1000)) +
+      EncodeFrame(static_cast<uint8_t>(Opcode::kPing), "");
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  size_t off = 0;  // Into `reads`: a partial send must not split frames.
+  while (std::chrono::steady_clock::now() < deadline) {
+    const ssize_t n = ::send(fd, reads.data() + off, reads.size() - off,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n > 0) {
+      off = (off + static_cast<size_t>(n)) % reads.size();
+    } else if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    } else {
+      break;  // Reset: the server closed the connection.
+    }
+  }
+  ::close(fd);
+  while (fx.server->counters().connections_dropped_slow == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const ServerCounters c = fx.server->counters();
+  EXPECT_EQ(c.connections_dropped_slow, 1u);
+  EXPECT_EQ(c.frames_inline, 0u);
+}
+
+// The cap holds per response even inside one batch: 1,000 scans arrive
+// in one send and queue behind a gated first scan, so the worker's next
+// batch holds all the rest. A per-batch check would execute every one of
+// them before looking at the backlog.
+TEST(ServerTest, BacklogCapEvictsWithinOneBatch) {
+  WorkerGate gate;
+  ServerOptions sopts;
+  sopts.workers = 1;
+  sopts.max_conn_backlog_bytes = 1024;
+  sopts.worker_hook_for_testing = gate.Hook();
+  ServerFixture fx("slowbatch", TinyDbOptions(), sopts);
+  const Options& options = fx.db->options();
+  constexpr Key kSeeded = 500;  // ~16 KiB per full-range scan response.
+  for (Key k = 1; k <= kSeeded; ++k) {
+    ASSERT_TRUE(fx.db->Put(k, Payload(options, k)).ok());
+  }
+
+  // A reader with a pinned tiny window that never drains its socket.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int tiny = 4096;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &tiny, sizeof(tiny)), 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(fx.server->port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  constexpr int kScans = 1000;
+  std::string burst;
+  for (int i = 0; i < kScans; ++i) {
+    burst += EncodeFrame(static_cast<uint8_t>(Opcode::kScan),
+                         EncodeScanRequest(1, kSeeded, 0));
+  }
+  ASSERT_EQ(::send(fd, burst.data(), burst.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(burst.size()));
+  gate.AwaitEntered();
+  // Barrier: the event loop answers this PING itself, after the earlier
+  // readiness event of the burst's socket, so every scan is queued now.
+  auto prober = fx.Connect();
+  ASSERT_TRUE(prober->Ping().ok());
+  gate.Release();
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fx.server->counters().connections_dropped_slow == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(fx.server->counters().connections_dropped_slow, 1u);
+  const ServerCounters c = fx.server->counters();
+  const uint64_t scans_executed = c.frames_processed - c.frames_inline;
+  EXPECT_LT(scans_executed, 100u);
+  ::close(fd);
+}
+
+/// Reads one response frame from a raw socket, keeping any surplus bytes
+/// in `*buf` for the next call. False on EOF, a malformed stream, or no
+/// progress for 10 s (a lost reply fails the test instead of hanging it).
+bool ReadFrame(RawConn& conn, std::string* buf, Frame* frame) {
+  const timeval timeout{10, 0};
+  ::setsockopt(conn.fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  while (true) {
+    size_t consumed = 0;
+    const FrameDecodeResult r = DecodeFrame(*buf, kDefaultMaxPayloadBytes,
+                                            frame, &consumed, nullptr);
+    if (r == FrameDecodeResult::kFrame) {
+      buf->erase(0, consumed);
+      return true;
+    }
+    if (r == FrameDecodeResult::kMalformed) return false;
+    char chunk[4096];
+    const ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) return false;
+    buf->append(chunk, static_cast<size_t>(n));
+  }
+}
+
+// Every opcode, pipelined raw in bursts of random length, so consecutive
+// frames mix the event-loop path (a GET or PING on an idle connection)
+// and the worker path (everything else, and whatever queues behind it).
+// A small pipelining cap makes long bursts pause reading and resume it.
+// Each burst goes out in one send; each reply must match a std::map
+// model advanced in request order.
+TEST(ServerTest, RandomizedPipelineMatchesModelInRequestOrder) {
+  ServerOptions sopts;
+  sopts.max_pipelined_requests = 8;
+  // Every block cached, so a GET's path depends on its connection alone.
+  DbOptions dbopts = TinyDbOptions();
+  dbopts.options.cache_blocks = 1 << 12;
+  ServerFixture fx("randpipe", dbopts, sopts);
+  const Options& options = fx.db->options();
+  RawConn conn(fx.server->port());
+  std::string inbuf;
+  std::map<Key, std::string> model;
+  std::mt19937 rng(20241019);
+  auto pick = [&rng](uint32_t n) {
+    return std::uniform_int_distribution<uint32_t>(0, n - 1)(rng);
+  };
+  constexpr Key kKeySpace = 200;
+  for (int burst = 0; burst < 300; ++burst) {
+    struct Expected {
+      Opcode op;
+      Key key = 0;
+      std::optional<std::string> value;  // GET: nullopt = NotFound.
+      std::vector<ScanItem> items;       // SCAN.
+    };
+    std::vector<Expected> expected;
+    std::string bytes;
+    const uint32_t len = 1 + pick(burst % 4 == 0 ? 1 : 24);
+    for (uint32_t i = 0; i < len; ++i) {
+      const Key key = 1 + pick(kKeySpace);
+      Expected e;
+      e.key = key;
+      switch (pick(10)) {
+        case 0:
+        case 1:
+        case 2:
+        case 3: {
+          e.op = Opcode::kGet;
+          bytes += EncodeFrame(static_cast<uint8_t>(e.op),
+                               EncodeGetRequest(key));
+          auto it = model.find(key);
+          if (it != model.end()) e.value = it->second;
+          break;
+        }
+        case 4:
+        case 5: {
+          e.op = Opcode::kPut;
+          // Vary the value so an overwrite is observable.
+          const std::string value =
+              Payload(options, key + kKeySpace * pick(3));
+          bytes += EncodeFrame(static_cast<uint8_t>(e.op),
+                               EncodePutRequest(key, value));
+          model[key] = value;
+          break;
+        }
+        case 6: {
+          e.op = Opcode::kDelete;
+          bytes += EncodeFrame(static_cast<uint8_t>(e.op),
+                               EncodeDeleteRequest(key));
+          model.erase(key);
+          break;
+        }
+        case 7: {
+          e.op = Opcode::kScan;
+          const Key hi = key + pick(40);
+          const uint32_t limit = pick(3) == 0 ? 0 : 1 + pick(10);
+          bytes += EncodeFrame(static_cast<uint8_t>(e.op),
+                               EncodeScanRequest(key, hi, limit));
+          for (auto it = model.lower_bound(key);
+               it != model.end() && it->first <= hi &&
+               (limit == 0 || e.items.size() < limit);
+               ++it) {
+            e.items.push_back(ScanItem{it->first, it->second});
+          }
+          break;
+        }
+        default:
+          e.op = Opcode::kPing;
+          bytes += EncodeFrame(static_cast<uint8_t>(e.op), "");
+          break;
+      }
+      expected.push_back(std::move(e));
+    }
+    conn.Send(bytes);
+    for (size_t i = 0; i < expected.size(); ++i) {
+      const Expected& e = expected[i];
+      Frame frame;
+      ASSERT_TRUE(ReadFrame(conn, &inbuf, &frame))
+          << "burst " << burst << " frame " << i;
+      ASSERT_EQ(frame.opcode, static_cast<uint8_t>(e.op) | kResponseBit)
+          << "burst " << burst << " frame " << i << ": reply out of order";
+      std::string_view body;
+      const Status st = DecodeResponseStatus(frame.payload, &body);
+      if (e.op == Opcode::kGet && !e.value) {
+        EXPECT_TRUE(st.IsNotFound())
+            << "burst " << burst << " key " << e.key << ": " << st.ToString();
+        continue;
+      }
+      ASSERT_TRUE(st.ok()) << "burst " << burst << " frame " << i << ": "
+                           << st.ToString();
+      if (e.op == Opcode::kGet) {
+        EXPECT_EQ(body, *e.value) << "burst " << burst << " key " << e.key;
+      } else if (e.op == Opcode::kScan) {
+        std::vector<ScanItem> items;
+        ASSERT_TRUE(DecodeScanResponseBody(body, &items));
+        ASSERT_EQ(items.size(), e.items.size()) << "burst " << burst;
+        for (size_t j = 0; j < items.size(); ++j) {
+          EXPECT_EQ(items[j].key, e.items[j].key) << "burst " << burst;
+          EXPECT_EQ(items[j].value, e.items[j].value) << "burst " << burst;
+        }
+      }
+    }
+  }
+
+  // A GET on a fresh (idle) connection is answered on the event loop...
+  const uint64_t inline_before = fx.server->counters().frames_inline;
+  auto idle = fx.Connect();
+  EXPECT_EQ(idle->Get(1).ok(), model.count(1) == 1);
+  EXPECT_GT(fx.server->counters().frames_inline, inline_before);
+
+  // ...but one that arrives behind a queued PUT waits its turn on the
+  // worker. PUT and GET go out in one send, so one read sees both.
+  const uint64_t inline_mid = fx.server->counters().frames_inline;
+  RawConn behind(fx.server->port());
+  behind.Send(EncodeFrame(static_cast<uint8_t>(Opcode::kPut),
+                          EncodePutRequest(7, Payload(options, 7))) +
+              EncodeFrame(static_cast<uint8_t>(Opcode::kGet),
+                          EncodeGetRequest(7)));
+  std::string behind_buf;
+  Frame put_reply;
+  Frame get_reply;
+  ASSERT_TRUE(ReadFrame(behind, &behind_buf, &put_reply));
+  ASSERT_TRUE(ReadFrame(behind, &behind_buf, &get_reply));
+  std::string_view body;
+  ASSERT_TRUE(DecodeResponseStatus(get_reply.payload, &body).ok());
+  EXPECT_EQ(body, Payload(options, 7));
+  EXPECT_EQ(fx.server->counters().frames_inline, inline_mid);
+
+  auto stats = idle->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->frames_inline, fx.server->counters().frames_inline);
+}
+
+// The event loop never waits on the device either: without a buffer
+// cache, an idle connection's GET of a key in the levels goes to a
+// worker, while one of a memtable key is answered on the event loop.
+TEST(ServerTest, GetThatReadsTheDeviceGoesToAWorker) {
+  ServerFixture fx("deviceget");
+  const Options& options = fx.db->options();
+  constexpr Key kSeeded = 500;
+  for (Key k = 1; k <= kSeeded; ++k) {
+    ASSERT_TRUE(fx.db->Put(k, Payload(options, k)).ok());
+  }
+  LsmTree& tree = *fx.db->tree();
+  ASSERT_GT(tree.num_levels(), 1u);
+  ASSERT_EQ(tree.FindInMemtables(1), nullptr);
+  ASSERT_NE(tree.FindInMemtables(kSeeded), nullptr);
+
+  // The memtable GET goes first: an inline answer leaves the connection
+  // idle, while a worker's reply can reach the client before that worker
+  // marks the connection idle, and a GET sent then would queue behind it.
+  auto client = fx.Connect();
+  const uint64_t inline_before = fx.server->counters().frames_inline;
+  auto got = client->Get(kSeeded);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, Payload(options, kSeeded));
+  EXPECT_EQ(fx.server->counters().frames_inline, inline_before + 1);
+  got = client->Get(1);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, Payload(options, 1));
+  EXPECT_EQ(fx.server->counters().frames_inline, inline_before + 1);
+}
+
+// The event loop never waits on an engine lock. An open iterator pins
+// the shared locks; a Put queued behind it makes every new shared
+// acquisition wait (the lock prefers writers). A GET arriving then must
+// not freeze the event loop: it goes to a worker, and a PING on another
+// connection is still answered at once.
+TEST(ServerTest, ContendedGetLeavesTheEventLoopFree) {
+  ServerFixture fx("contended");
+  const Options& options = fx.db->options();
+  ASSERT_TRUE(fx.db->Put(1, Payload(options, 1)).ok());
+
+  ClientOptions copts;
+  copts.port = fx.server->port();
+  copts.io_timeout_ms = 300;
+  auto a_or = Client::Connect(copts);
+  auto b_or = Client::Connect(copts);
+  ASSERT_TRUE(a_or.ok() && b_or.ok());
+  auto a = std::move(a_or).value();
+  auto b = std::move(b_or).value();
+  ASSERT_TRUE(b->Ping().ok());
+
+  std::unique_ptr<Iterator> pin = fx.db->NewIterator();
+  ASSERT_NE(pin, nullptr);
+  std::thread writer([&] { EXPECT_TRUE(fx.db->Put(2, Payload(options, 2)).ok()); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  bool would_block = false;
+  while (!would_block && std::chrono::steady_clock::now() < deadline) {
+    would_block = !fx.db->TryGet(1).has_value();
+    if (!would_block) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(would_block) << "the Put never queued behind the iterator";
+
+  ASSERT_TRUE(a->SendRaw(static_cast<uint8_t>(Opcode::kGet),
+                         EncodeGetRequest(1))
+                  .ok());
+  Frame frame;
+  const Status pending = a->ReceiveResponse(&frame);
+  EXPECT_TRUE(pending.IsTimedOut()) << pending.ToString();
+  EXPECT_TRUE(b->Ping().ok()) << "the event loop is blocked";
+
+  pin.reset();
+  writer.join();
+  ASSERT_TRUE(a->ReceiveResponse(&frame).ok());
+  std::string_view body;
+  ASSERT_TRUE(DecodeResponseStatus(frame.payload, &body).ok());
+  EXPECT_EQ(body, Payload(options, 1));
 }
 
 }  // namespace

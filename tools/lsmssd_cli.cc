@@ -423,7 +423,8 @@ int CmdServe(const Flags& flags) {
     std::cerr << "final checkpoint failed: " << st.ToString() << "\n";
     return 1;
   }
-  std::cout << "served " << counters.frames_processed << " frames over "
+  std::cout << "served " << counters.frames_processed << " frames ("
+            << counters.frames_inline << " on the event loop) over "
             << counters.connections_accepted << " connections ("
             << counters.connections_dropped_malformed
             << " dropped malformed, " << counters.unsupported_version_frames
