@@ -114,8 +114,9 @@ Status ValidateOptions(const DbOptions& dbopts) {
   if (dbopts.background_compaction && dbopts.compaction_queue_depth == 0) {
     return Status::InvalidArgument("compaction_queue_depth must be >= 1");
   }
-  if (dbopts.background_compaction && dbopts.compaction_workers == 0) {
-    return Status::InvalidArgument("compaction_workers must be >= 1");
+  if (dbopts.compaction_workers != 1) {
+    return Status::InvalidArgument(
+        "compaction_workers must be 1 (one compaction thread per engine)");
   }
   if (dbopts.shards == 0) {
     return Status::InvalidArgument("shards must be >= 1");

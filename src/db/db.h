@@ -18,7 +18,7 @@ namespace lsmssd {
 /// The durable key-value store: the documented way into the library for
 /// applications. A Db hash-partitions keys over DbOptions::shards
 /// Engines (src/db/engine.h), each one complete LSM engine with its own
-/// WAL, device file, checkpoint and compaction workers, and routes every
+/// WAL, device file, checkpoint and compaction thread, and routes every
 /// call: point operations go to the key's engine (ShardOfKey), and
 /// everything else visits the engines in index order 0..N-1. One engine
 /// is simply N = 1; no call treats it specially.

@@ -9,8 +9,7 @@ void AppendDbFlagNames(std::vector<std::string_view>* known) {
       "sync-n",          "checkpoint-wal-mb",
       "background-compaction", "shards",
       "scrub-interval-ms", "max-device-blocks",
-      "compaction-workers", "vlog-threshold",
-      "vlog-gc-ratio",
+      "vlog-threshold",  "vlog-gc-ratio",
   };
   for (std::string_view n : kNames) known->push_back(n);
 }
@@ -59,12 +58,6 @@ StatusOr<DbOptions> DbOptionsFromFlags(const FlagMap& flags,
 
   LSMSSD_ASSIGN_OR_RETURN(dbopts.background_compaction,
                           FlagBool(flags, "background-compaction", false));
-
-  LSMSSD_ASSIGN_OR_RETURN(dbopts.compaction_workers,
-                          FlagUint(flags, "compaction-workers", 1));
-  if (dbopts.compaction_workers == 0) {
-    return Status::InvalidArgument("--compaction-workers must be >= 1");
-  }
 
   LSMSSD_ASSIGN_OR_RETURN(dbopts.shards, FlagUint(flags, "shards", 1));
   if (dbopts.shards == 0) {

@@ -246,7 +246,7 @@ StatusOr<std::unique_ptr<Engine>> Engine::Open(const DbOptions& dbopts,
   // when the manifest already includes a prefix of the replayed entries
   // (crash between manifest rename and segment unlink). Each entry is
   // applied like a commit and drained like an inline writer, in either
-  // mode: the compaction workers start only after recovery.
+  // mode: the compaction thread starts only after recovery.
   auto replay_records = [&engine](const std::vector<Record>& records,
                                   size_t limit) -> Status {
     LsmTree* tree = engine->tree_.get();
@@ -364,11 +364,7 @@ StatusOr<std::unique_ptr<Engine>> Engine::Open(const DbOptions& dbopts,
     engine->maintenance_ = std::thread(&Engine::MaintenanceLoop, engine.get());
   }
   if (dbopts.background_compaction) {
-    engine->compaction_pool_.reserve(dbopts.compaction_workers);
-    for (size_t i = 0; i < dbopts.compaction_workers; ++i) {
-      engine->compaction_pool_.emplace_back(&Engine::CompactionLoop,
-                                            engine.get());
-    }
+    engine->compaction_ = std::thread(&Engine::CompactionLoop, engine.get());
   }
   return engine;
 }
@@ -410,10 +406,8 @@ void Engine::Close() {
     std::lock_guard<std::mutex> clk(comp_mu_);
     stop_compaction_ = true;
   }
-  comp_cv_.notify_all();
-  for (std::thread& t : compaction_pool_) {
-    if (t.joinable()) t.join();
-  }
+  comp_cv_.notify_one();
+  if (compaction_.joinable()) compaction_.join();
 }
 
 Engine::~Engine() {
@@ -517,11 +511,11 @@ Status Engine::ApplyLocked(const Record& in, std::unique_lock<std::mutex>& lk) {
   }
 
   if (!dbopts_.background_compaction) {
-    // Inline mode: no worker pool, so this writer runs the compaction
-    // steps itself. Only durability errors poison the engine. The record is
-    // already WAL-logged and in memory; what failed is a compaction step,
-    // which aborts atomically and leaves the tree intact (the next op
-    // retries the drain):
+    // Inline mode: no compaction thread, so this writer runs the
+    // compaction steps itself. Only durability errors poison the engine.
+    // The record is already WAL-logged and in memory; what failed is a
+    // compaction step, which aborts atomically and leaves the tree intact
+    // (the next op retries the drain):
     //   - ResourceExhausted: the device hit max_device_blocks. Surface
     //     it as write backpressure — the caller can checkpoint, free
     //     capacity, or raise the cap, and writers make progress again.
@@ -679,11 +673,11 @@ Status Engine::ForceSyncAllLocked(std::unique_lock<std::mutex>& lk) {
 }
 
 Status Engine::MaybeSealOrStallLocked() {
-  // Soft throttle: with the queue deep, delay every op a little so the
-  // workers gain ground before writers hit the hard wall. The wait holds
-  // db_mu_ on purpose — it must slow the whole commit path. It is a
-  // condvar wait, not an unconditional sleep: every worker step notifies
-  // stall_cv_, so the moment the queue drains below the threshold (or
+  // Soft throttle: with the queue deep, delay every op a little so
+  // compaction gains ground before writers hit the hard wall. The wait
+  // holds db_mu_ on purpose — it must slow the whole commit path. It is a
+  // condvar wait, not an unconditional sleep: every compaction step
+  // notifies stall_cv_, so the moment the queue drains below the threshold (or
   // compaction wedges) the writer proceeds instead of serving out the
   // full slowdown_micros penalty.
   if (dbopts_.compaction_slowdown_depth > 0) {
@@ -709,7 +703,7 @@ Status Engine::MaybeSealOrStallLocked() {
     std::unique_lock<std::mutex> clk(comp_mu_);
     if (sealed_queued_ >= dbopts_.compaction_queue_depth &&
         compaction_error_.ok() && !failed()) {
-      // Hard stall: the queue is full. Wait for the worker, still holding
+      // Hard stall: the queue is full. Wait for compaction, still holding
       // db_mu_ — later writers queue behind us, which is the point.
       ++stall_events_;
       const auto t0 = Clock::now();
@@ -731,21 +725,19 @@ Status Engine::MaybeSealOrStallLocked() {
     if (failed()) return FailedStatus();
   }
   // Between the checks above and the seal below the queue can only have
-  // shrunk: writers are serialized by db_mu_ and the worker only pops.
+  // shrunk: writers are serialized by db_mu_ and compaction only pops.
   {
     std::unique_lock<SharedMutex> mlk(mem_mu_);
     SealActiveMemtableLocked();
   }
-  // Every idle worker rescans; those that find the work claimed go back
-  // to sleep.
-  comp_cv_.notify_all();
+  comp_cv_.notify_one();
   return Status::OK();
 }
 
 void Engine::SealActiveMemtableLocked() {
   tree_->SealMemtable();
   // Publish depth + kick under comp_mu_ while still holding mem_mu_
-  // (mem_mu_ -> comp_mu_ follows the hierarchy): a worker cannot pop the
+  // (mem_mu_ -> comp_mu_ follows the hierarchy): compaction cannot pop the
   // new memtable before its ++sealed_queued_ lands, because a pop needs
   // mem_mu_ exclusive.
   std::lock_guard<std::mutex> clk(comp_mu_);
@@ -760,21 +752,18 @@ Status Engine::DrainCompactionLocked() {
   if (!tree_->MemtableAtCapacity() && !tree_->HasCompactionWork()) {
     return Status::OK();
   }
-  std::unique_lock<SharedMutex> tlk(tree_mu_);
-  std::unique_lock<SharedMutex> mlk(mem_mu_);
-  if (tree_->MemtableAtCapacity()) SealActiveMemtableLocked();
-  Status st;
-  for (auto step = LsmTree::CompactStep::kFlush;
-       st.ok() && step != LsmTree::CompactStep::kNone;) {
-    const auto t0 = Clock::now();
-    const size_t sealed_before = tree_->sealed_count();
-    auto step_or = tree_->BackgroundCompactStep();
-    st = step_or.status();
-    step = st.ok() ? step_or.value() : LsmTree::CompactStep::kNone;
-    RecordCompactionStep(st, step, tree_->sealed_count() < sealed_before,
-                         MicrosSince(t0));
+  if (tree_->MemtableAtCapacity()) {
+    std::unique_lock<SharedMutex> mlk(mem_mu_);
+    SealActiveMemtableLocked();
   }
-  return st;
+  for (;;) {
+    const auto t0 = Clock::now();
+    auto step = LsmTree::CompactStep::kNone;
+    bool popped = false;
+    Status st = RunOneCompactionStep(&step, &popped);
+    RecordCompactionStep(st, step, popped, MicrosSince(t0));
+    if (!st.ok() || step == LsmTree::CompactStep::kNone) return st;
+  }
 }
 
 void Engine::RecordCompactionStep(const Status& st, LsmTree::CompactStep step,
@@ -797,116 +786,46 @@ void Engine::CompactionLoop() {
     comp_cv_.wait(clk,
                   [this] { return stop_compaction_ || compaction_scheduled_; });
     if (stop_compaction_) return;
+    // A kick that lands during the drain sets the flag again, so the
+    // next pass runs even if this one ended on an error.
+    compaction_scheduled_ = false;
+    compaction_running_ = true;
     clk.unlock();
     RunCompactionSteps();
     clk.lock();
   }
 }
 
-bool Engine::TryClaimLevelsLocked(size_t lo, size_t hi) {
-  if (level_claims_.size() < hi + 1) level_claims_.resize(hi + 1, 0);
-  for (size_t i = lo; i <= hi; ++i) {
-    if (level_claims_[i] != 0) return false;
-  }
-  for (size_t i = lo; i <= hi; ++i) level_claims_[i] = 1;
-  return true;
-}
-
-void Engine::ReleaseLevelsLocked(size_t lo, size_t hi) {
-  for (size_t i = lo; i <= hi; ++i) {
-    LSMSSD_CHECK(i < level_claims_.size() && level_claims_[i] != 0);
-    level_claims_[i] = 0;
-  }
-}
-
 Status Engine::RunOneCompactionStep(LsmTree::CompactStep* step, bool* popped) {
-  // Phase 1 — flush, when LsmTree::PlanCompaction puts one first (it
-  // does unless the L0 buffer is backlogged). A flush runs entirely under
-  // mem_mu_ exclusive — it drains the front sealed memtable into the
-  // memory-resident L0 buffer, pure memory work — so it overlaps a merge
-  // step another worker is running under tree_mu_. What it must NOT
-  // overlap is an L0 *spill* (which reads and erases the buffer under
-  // tree_mu_, not mem_mu_): the claim on "level 0" serializes the two
-  // buffer mutators. Claim BEFORE peeking: the plan reads the buffer's
-  // size, and a spill erases the buffer under tree_mu_ (not mem_mu_), so
-  // the size is only stable once claim {0} excludes the other mutator.
-  // The claim is cheap and released immediately when there is nothing to
-  // flush.
-  bool flush_claimed = false;
+  // The plan reads the sealed queue, which writers push onto under
+  // mem_mu_, and the L0 buffer and levels, which change only in this
+  // function: mem_mu_ shared is enough, and the plan still holds when
+  // the locks below are taken.
+  LsmTree::CompactPlan plan;
   {
-    std::lock_guard<std::mutex> clk(comp_mu_);
-    flush_claimed = TryClaimLevelsLocked(0, 0);
-  }
-  if (flush_claimed) {
-    bool do_flush = false;
-    {
-      std::shared_lock<SharedMutex> mlk(mem_mu_);
-      do_flush = tree_->PlanCompaction(/*include_merges=*/false).flush;
-    }
-    Status st;
-    if (do_flush) {
-      std::unique_lock<SharedMutex> mlk(mem_mu_);
-      // Re-fetch under the exclusive hold: another worker may have
-      // finished the front memtable between the peek and the claim.
-      if (Memtable* front = tree_->FrontSealed(); front != nullptr) {
-        st = tree_->FlushSealedStep(front);
-        if (st.ok()) {
-          *popped = tree_->PopSealedIfDrained();
-          *step = LsmTree::CompactStep::kFlush;
-        }
-      }
-    }
-    {
-      std::lock_guard<std::mutex> clk(comp_mu_);
-      ReleaseLevelsLocked(0, 0);
-    }
-    if (!st.ok()) return st;
-    if (*step == LsmTree::CompactStep::kFlush) return Status::OK();
-    // The front vanished while we claimed: fall through to the merges.
-  }
-
-  // Phase 2 — merge. One exclusive tree_mu_ hold per step keeps level
-  // publication serialized; the claim {source, source+1} keeps a second
-  // worker from picking the same pair the moment we drop tree_mu_ between
-  // steps, and (for source 0) excludes concurrent flush absorption into
-  // the buffer being spilled.
-  std::unique_lock<SharedMutex> tlk(tree_mu_);
-  size_t source = 0;
-  bool claimed = false;
-  {
-    // mem_mu_ shared: the plan reads the buffer's size, which a
-    // concurrent flush mutates under mem_mu_.
     std::shared_lock<SharedMutex> mlk(mem_mu_);
-    const std::vector<size_t> sources = tree_->PlanCompaction().merge_sources;
-    std::lock_guard<std::mutex> clk(comp_mu_);
-    for (size_t s : sources) {
-      if (TryClaimLevelsLocked(s, s + 1)) {
-        source = s;
-        claimed = true;
-        break;
-      }
-    }
+    plan = tree_->PlanCompaction();
   }
-  if (!claimed) return Status::OK();  // Nothing overflowing, or all claimed.
-  // Safe to run without mem_mu_ even for source 0: the claim excludes
-  // flushes, and workers are the only L0-buffer mutators (comp_mu_'s
-  // claim handoff provides the happens-before edge between their holds).
-  auto step_or = tree_->MergeSourceStep(source);
-  {
-    std::lock_guard<std::mutex> clk(comp_mu_);
-    ReleaseLevelsLocked(source, source + 1);
+  if (plan.flush) {
+    // Drains the front sealed memtable into the memory-resident L0
+    // buffer: pure memory, so no tree lock.
+    std::unique_lock<SharedMutex> mlk(mem_mu_);
+    LSMSSD_RETURN_IF_ERROR(tree_->FlushSealedStep(tree_->FrontSealed()));
+    *popped = tree_->PopSealedIfDrained();
+    *step = LsmTree::CompactStep::kFlush;
+    return Status::OK();
   }
+  if (!plan.merge_source) return Status::OK();
+  // No mem_mu_ even for an L0 spill: writers never touch the L0 buffer,
+  // and readers snapshot it under tree_mu_ shared.
+  std::unique_lock<SharedMutex> tlk(tree_mu_);
+  auto step_or = tree_->MergeSourceStep(*plan.merge_source);
   if (!step_or.ok()) return step_or.status();
   *step = step_or.value();
   return Status::OK();
 }
 
 void Engine::RunCompactionSteps() {
-  {
-    std::lock_guard<std::mutex> clk(comp_mu_);
-    compaction_scheduled_ = false;
-    ++active_compaction_workers_;
-  }
   Status err;
   while (!failed()) {
     const auto t0 = Clock::now();
@@ -921,13 +840,11 @@ void Engine::RunCompactionSteps() {
       err = st;
       break;
     }
-    // A worker exits only after seeing kNone for itself, so work it saw
-    // claimed by another worker never leaks.
     if (step == LsmTree::CompactStep::kNone) break;
   }
   {
     std::lock_guard<std::mutex> clk(comp_mu_);
-    --active_compaction_workers_;
+    compaction_running_ = false;
   }
   stall_cv_.notify_all();
   // ResourceExhausted and Corruption are retryable backpressure (exactly
@@ -947,7 +864,7 @@ Status Engine::WaitForCompaction() {
   if (!dbopts_.background_compaction) return Status::OK();
   std::unique_lock<std::mutex> clk(comp_mu_);
   stall_cv_.wait(clk, [&] {
-    return (sealed_queued_ == 0 && active_compaction_workers_ == 0 &&
+    return (sealed_queued_ == 0 && !compaction_running_ &&
             !compaction_scheduled_) ||
            !compaction_error_.ok() || failed();
   });
@@ -1487,14 +1404,15 @@ void Engine::SetMaxDeviceBlocks(uint64_t max_blocks) {
     device_->set_max_blocks(max_blocks);
   }
   // A raised cap may unwedge a ResourceExhausted compaction: clear the
-  // sticky error and kick the workers so queued memtables drain again.
+  // sticky error and kick the compaction thread so queued memtables
+  // drain again.
   // (An inline writer simply retries its drain on its next op.)
   {
     std::lock_guard<std::mutex> clk(comp_mu_);
     compaction_error_ = Status::OK();
     compaction_scheduled_ = true;
   }
-  comp_cv_.notify_all();
+  comp_cv_.notify_one();
   stall_cv_.notify_all();
 }
 

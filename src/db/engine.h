@@ -63,7 +63,7 @@ struct DbOptions {
 
   /// Hash-partition keys across this many Engines, each a complete LSM
   /// engine (own memtable pipeline, WAL, device file, compaction
-  /// workers) configured by every other field here; the Db routes every
+  /// thread) configured by every other field here; the Db routes every
   /// call over them. Each engine holds its own memory pipeline, so N
   /// engines hold up to N times one engine's memory-resident records.
   /// Layout: with 1 (the default) the lone engine lives in the root
@@ -103,11 +103,11 @@ struct DbOptions {
   /// the active memtable only; a full memtable is *sealed* onto a queue
   /// of immutable memtables, which compaction drains one bounded step at
   /// a time (LsmTree::BackgroundCompactStep's order: flush, then merge
-  /// the shallowest overflowing level). When true, a background worker
-  /// pool runs the steps, publishing each atomically under the exclusive
-  /// tree lock; writers never wait for a merge unless the queue backs up
+  /// the shallowest overflowing level). When true, one background
+  /// compaction thread runs the steps, publishing each atomically under
+  /// the engine's locks; writers never wait for a merge unless the queue backs up
   /// — then they are first throttled (see compaction_slowdown_depth) and
-  /// finally stalled until a worker frees a slot (counted and timed in
+  /// finally stalled until the thread frees a slot (counted and timed in
   /// DbStats). Default off: the writer that seals the memtable runs the
   /// steps itself, until none is left, before its op returns. Off, the
   /// memtable plus L0 buffer hold under 2 * K0 * B records between ops
@@ -115,25 +115,19 @@ struct DbOptions {
   bool background_compaction = false;
 
   /// Hard bound on queued sealed memtables (>= 1). A writer that must
-  /// seal while the queue is full stalls until the worker drains one.
+  /// seal while the queue is full stalls until compaction drains one.
   /// Memory ceiling: (compaction_queue_depth + 1) * K0 * B records.
   size_t compaction_queue_depth = 4;
 
-  /// Background compaction worker threads (>= 1; background mode only).
-  /// With one worker (the default, previous behavior) flushes and merges
-  /// alternate on a single thread, so one long merge head-of-line blocks
-  /// every flush behind it and the sealed queue backs up into throttles
-  /// and stalls. With more workers the steps are scheduled through a
-  /// per-level ownership table: flushes run under the memtable lock only
-  /// and claim the L0 buffer; a merge of level s claims {s, s+1} and
-  /// holds the exclusive tree lock for its step (level publication stays
-  /// a single serialized step) — so a flush proceeds concurrently with a
-  /// long merge, and no two workers ever write the same level.
+  /// Must be 1: background mode runs exactly one compaction thread, and
+  /// Open rejects any other value. (A pool bought nothing while every
+  /// merge step holds the exclusive tree lock; the field stays so code
+  /// that sets it keeps compiling.)
   size_t compaction_workers = 1;
 
   /// Soft backpressure: while the queue holds at least this many sealed
   /// memtables, every modification sleeps compaction_slowdown_micros
-  /// before committing, slowing writers so the worker can catch up
+  /// before committing, slowing writers so compaction can catch up
   /// before they hit the hard stall. 0 disables throttling.
   size_t compaction_slowdown_depth = 3;
   uint64_t compaction_slowdown_micros = 200;
@@ -199,9 +193,10 @@ struct DbStats {
   uint64_t write_backpressure_events = 0;
 
   // Compaction. Seals, flushes, merges and step time count in both
-  // modes (the inline writer runs the same steps the workers do); the
-  // throttle and stall counters stay zero when background_compaction is
-  // off, since an inline writer never waits for a worker.
+  // modes (the inline writer runs the same steps the compaction thread
+  // does); the throttle and stall counters stay zero when
+  // background_compaction is off, since an inline writer never waits for
+  // that thread.
   uint64_t memtables_sealed = 0;     ///< Active memtables moved to the queue.
   uint64_t background_flushes = 0;   ///< Steps draining a sealed memtable.
   uint64_t background_merges = 0;    ///< Steps merging out of a level.
@@ -235,7 +230,7 @@ struct DbStats {
 /// (`blocks.dev`), a write-ahead log (`wal.log`, plus rotated
 /// `wal.old.<n>` segments while a checkpoint is in flight), a checkpoint
 /// (`MANIFEST`), optional value-log segments (`vlog-<n>`), and the
-/// LsmTree wired over them, with its compaction workers and scrubber.
+/// LsmTree wired over them, with its compaction thread and scrubber.
 /// Applications reach it through Db (src/db/db.h), which routes keys
 /// over 1..N engines; LsmTree stays the policy-research core underneath.
 ///
@@ -275,7 +270,7 @@ class Engine {
   static StatusOr<std::unique_ptr<Engine>> Open(const DbOptions& dbopts,
                                                 const std::string& dir);
 
-  /// Joins the maintenance thread and the compaction workers. Idempotent.
+  /// Joins the maintenance and compaction threads. Idempotent.
   void Close();
   /// Close(), then a best-effort final WAL sync (unless failed).
   ~Engine();
@@ -344,13 +339,12 @@ class Engine {
   /// until Close().
   void MaintenanceLoop();
 
-  /// Background compaction worker body (compaction_workers threads run
-  /// it in background mode): sleeps on comp_cv_ until a writer seals a
-  /// memtable (or the cap is raised), then runs RunCompactionSteps.
-  /// Deliberately NOT the maintenance thread: that one parks on db_mu_,
-  /// and a hard-stalled writer waits for compaction progress *while
-  /// holding db_mu_* — a worker that needed db_mu_ to wake could then
-  /// never run.
+  /// The compaction thread's body (background mode only): sleeps on
+  /// comp_cv_ until a writer seals a memtable (or the cap is raised),
+  /// then runs RunCompactionSteps. Deliberately NOT the maintenance
+  /// thread: that one parks on db_mu_, and a hard-stalled writer waits for
+  /// compaction progress *while holding db_mu_* — a thread that needed
+  /// db_mu_ to wake could then never run.
   void CompactionLoop();
 
   // ---- Background compaction (see DESIGN.md, "Compaction scheduling
@@ -359,8 +353,9 @@ class Engine {
   /// Write-path gate, called with db_mu_ held before the WAL append:
   /// applies the soft throttle, and when the active memtable is full,
   /// seals it onto the queue — stalling first if the queue is at
-  /// compaction_queue_depth — and kicks the worker. Returns the worker's
-  /// sticky error (without applying the op) when compaction is wedged.
+  /// compaction_queue_depth — and kicks the compaction thread. Returns
+  /// its sticky error (without applying the op) when compaction is
+  /// wedged.
   Status MaybeSealOrStallLocked();
 
   /// Moves the active memtable onto the sealed queue, publishes the new
@@ -368,11 +363,11 @@ class Engine {
   void SealActiveMemtableLocked();
 
   /// Inline mode's compaction: when there is work, seals a full active
-  /// memtable and runs LsmTree::BackgroundCompactStep until kNone, under
-  /// exclusive tree_mu_ + mem_mu_. Called by the committing writer (db_mu_
-  /// held) and by WAL replay in Open (before any other thread exists), so
-  /// in either case nothing else mutates the tree. Returns the failing
-  /// step's error; the next call retries the drain.
+  /// memtable and runs RunOneCompactionStep until it does nothing. Called
+  /// by the committing writer (db_mu_ held) and by WAL replay in Open
+  /// (before any other thread exists), so in either case it is the only
+  /// step runner. Returns the failing step's error; the next call retries
+  /// the drain.
   Status DrainCompactionLocked();
 
   /// Publishes one finished step under comp_mu_: counters, queue depth,
@@ -380,30 +375,24 @@ class Engine {
   void RecordCompactionStep(const Status& st, LsmTree::CompactStep step,
                             bool popped, uint64_t micros);
 
-  /// Worker: drains the pipeline one step at a time until there is no
-  /// work, updating the comp_mu_ counters and waking stalled writers
-  /// after every step. Runs WITHOUT db_mu_ (a stalled writer holds it);
-  /// takes db_mu_ only to poison the engine on a durability error, after
-  /// publishing the error under comp_mu_ so the stalled writer can wake
-  /// and release db_mu_ first.
+  /// The compaction thread's drain: runs one step at a time until there
+  /// is no work, updating the comp_mu_ counters and waking stalled
+  /// writers after every step. Runs WITHOUT db_mu_ (a stalled writer
+  /// holds it); takes db_mu_ only to poison the engine on a durability
+  /// error, after publishing the error under comp_mu_ so the stalled
+  /// writer can wake and release db_mu_ first.
   void RunCompactionSteps();
 
-  /// One bounded worker step, scheduled through the per-level ownership
-  /// table (level_claims_, under comp_mu_): a flush claims the L0 buffer
-  /// ("level 0") and runs under mem_mu_ exclusive only — pure memory, no
-  /// tree lock, so it proceeds while another worker holds tree_mu_ for a
-  /// long merge; a merge claims its source level pair {s, s+1} and runs
-  /// under tree_mu_ exclusive (serialized level publication). Claims are
-  /// try-acquire only (a worker never blocks holding one lock waiting
-  /// for a claim), and work that is visible but claimed by another
-  /// worker is left to that worker's drain loop, which always rescans
-  /// before exiting. Writers keep appending throughout either step kind.
+  /// The one step runner of both modes: plans once
+  /// (LsmTree::PlanCompaction) and acts once. A flush runs under mem_mu_
+  /// exclusive only (pure memory, no tree lock); a merge out of the
+  /// plan's source runs under tree_mu_ exclusive only, so writers keep
+  /// appending to the active memtable through it. Leaves `*step` at kNone
+  /// when there is no work. Requires that the caller is the only step
+  /// driver (the compaction thread, or an inline drain under db_mu_): the
+  /// L0 buffer and the levels change only here, so the plan stays valid
+  /// between reading it and acting on it.
   Status RunOneCompactionStep(LsmTree::CompactStep* step, bool* popped);
-
-  /// Claims every level in [lo, hi] for the calling worker, or claims
-  /// nothing and returns false if any is taken. Requires comp_mu_.
-  bool TryClaimLevelsLocked(size_t lo, size_t hi);
-  void ReleaseLevelsLocked(size_t lo, size_t hi);
 
   /// One background scrub batch: picks the next scrub_batch_blocks live
   /// blocks after the round-robin cursor and verifies them under the
@@ -495,12 +484,10 @@ class Engine {
   //          leader fsyncs and while a checkpoint writes the manifest.
   // tree_mu_ on-SSD tree + device-metadata lock: Get/iterators/scrubs hold
   //          it shared; level mutations and deferred-free recycling hold
-  //          it exclusive. Writers never take it for their apply. An
-  //          inline-mode writer takes it exclusive (with mem_mu_) only
-  //          for its drain; in background mode only compaction workers
-  //          take it, one merge step per exclusive hold (level
-  //          publication stays serialized even with compaction_workers >
-  //          1). Writer-preferring so tight read loops cannot starve
+  //          it exclusive. Writers never take it for their apply; the
+  //          step runner (the compaction thread, or an inline-mode
+  //          writer's drain) takes it exclusive for one merge step per
+  //          hold. Writer-preferring so tight read loops cannot starve
   //          commits (std::shared_mutex on glibc would).
   // mem_mu_  memory-resident state lock: the active memtable's contents,
   //          the sealed-queue structure, and flush absorption into the
@@ -511,17 +498,16 @@ class Engine {
   //          the memtable probe (and for an iterator's whole lifetime).
   //          This is the split that takes merges off the write path: a
   //          writer's apply needs only db_mu_ + mem_mu_, a merge step
-  //          needs tree_mu_. The L0 buffer's contents are
-  //          mutated either under [mem_mu_ exclusive + claim on level 0]
-  //          (flush) or [tree_mu_ exclusive + claim on level 0] (L0
-  //          spill) — or, by the inline drain, under both exclusive;
-  //          readers snapshotting it hold tree_mu_ AND mem_mu_ shared.
+  //          needs tree_mu_. The L0 buffer's contents are mutated only by
+  //          the one step runner, under mem_mu_ exclusive (flush) or
+  //          tree_mu_ exclusive (L0 spill); readers snapshotting it hold
+  //          tree_mu_ AND mem_mu_ shared.
   // comp_mu_ leaf lock (never held while acquiring any other): compaction
-  //          queue depth, worker state, the per-level ownership table
-  //          (level_claims_), seal/step/stall/throttle counters. Guards
-  //          stall_cv_, on which stalled writers wait *while holding
-  //          db_mu_* — which is why workers must not touch db_mu_
-  //          between steps.
+  //          queue depth, the compaction thread's scheduled/running
+  //          flags, seal/step/stall/throttle counters. Guards stall_cv_,
+  //          on which stalled writers wait *while holding db_mu_* — which
+  //          is why the compaction thread must not touch db_mu_ between
+  //          steps.
   mutable std::mutex db_mu_;
   mutable SharedMutex tree_mu_;
   mutable SharedMutex mem_mu_;
@@ -530,11 +516,9 @@ class Engine {
   std::condition_variable ckpt_cv_;   ///< Checkpoint slot freeing up.
   std::condition_variable maint_cv_;  ///< Work for the maintenance thread.
   std::condition_variable stall_cv_;  ///< Compaction progress (comp_mu_).
-  std::condition_variable comp_cv_;   ///< Work for the worker (comp_mu_).
+  std::condition_variable comp_cv_;   ///< Work for compaction (comp_mu_).
   std::thread maintenance_;
-  /// Compaction worker pool, compaction_workers threads (background mode
-  /// only; previously a single thread).
-  std::vector<std::thread> compaction_pool_;
+  std::thread compaction_;  ///< Background mode only.
 
   std::atomic<bool> failed_{false};
   bool closed_ = false;               ///< Close() ran (under db_mu_).
@@ -545,17 +529,10 @@ class Engine {
 
   // Compaction state (under comp_mu_).
   size_t sealed_queued_ = 0;      ///< Sealed memtables awaiting drain.
-  size_t active_compaction_workers_ = 0;  ///< Workers inside RunCompactionSteps.
-  bool compaction_scheduled_ = false;  ///< Kicked, no worker started on it yet.
+  bool compaction_scheduled_ = false;  ///< Kicked, drain not started yet.
+  bool compaction_running_ = false;    ///< Inside RunCompactionSteps.
   bool stop_compaction_ = false;  ///< Tells CompactionLoop to exit.
-  /// Per-level ownership table (index 0 = the L0 buffer, i = level Li):
-  /// nonzero while a worker owns the level for its current step. A flush
-  /// claims {0}; a merge of source s claims {s, s+1}. This is what makes
-  /// the two L0-buffer mutators (flush absorb under mem_mu_, L0 spill
-  /// under tree_mu_) mutually exclusive, and guarantees no two workers
-  /// ever write the same level.
-  std::vector<uint8_t> level_claims_;
-  /// Sticky worker error (ResourceExhausted/Corruption): surfaced to
+  /// Sticky compaction error (ResourceExhausted/Corruption): surfaced to
   /// writers that must seal, cleared by a later successful step or by
   /// SetMaxDeviceBlocks. Durability errors poison the engine instead.
   Status compaction_error_;

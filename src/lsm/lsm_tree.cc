@@ -113,7 +113,7 @@ uint64_t LsmTree::sealed_records() const {
 bool LsmTree::HasCompactionWork() const {
   // A backlogged buffer defers the flush but is itself a merge source.
   const CompactPlan plan = PlanCompaction();
-  return plan.flush || !plan.merge_sources.empty();
+  return plan.flush || plan.merge_source.has_value();
 }
 
 bool LsmTree::L0BufferOverflowing() const {
@@ -153,20 +153,25 @@ bool LsmTree::PopSealedIfDrained() {
   return true;
 }
 
-LsmTree::CompactPlan LsmTree::PlanCompaction(bool include_merges) const {
+LsmTree::CompactPlan LsmTree::PlanCompaction() const {
   CompactPlan plan;
   // Sealed memtables first: they bound the write path's queue, and a
   // flush is pure memory (see FlushSealedStep) ... unless the buffer is
   // backlogged: then merges go first so the buffer stays bounded and the
   // full queue throttles the writers.
   plan.flush = !sealed_.empty() && !L0BufferBacklogged();
-  if (!include_merges) return plan;
   // The L0 buffer is the shallowest "level": it spills a policy-selected
   // window once it reaches K0 capacity, like Put's overflow test on the
   // active memtable.
-  if (L0BufferOverflowing()) plan.merge_sources.push_back(0);
+  if (L0BufferOverflowing()) {
+    plan.merge_source = 0;
+    return plan;
+  }
   for (size_t i = 1; i < num_levels(); ++i) {
-    if (LevelOverflowing(i)) plan.merge_sources.push_back(i);
+    if (LevelOverflowing(i)) {
+      plan.merge_source = i;
+      break;
+    }
   }
   return plan;
 }
@@ -197,8 +202,8 @@ StatusOr<LsmTree::CompactStep> LsmTree::BackgroundCompactStep() {
     PopSealedIfDrained();
     return CompactStep::kFlush;
   }
-  if (plan.merge_sources.empty()) return CompactStep::kNone;
-  return MergeSourceStep(plan.merge_sources.front());
+  if (!plan.merge_source) return CompactStep::kNone;
+  return MergeSourceStep(*plan.merge_source);
 }
 
 const Record* LsmTree::FindInMemtables(Key key) const {

@@ -3,6 +3,7 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -79,8 +80,8 @@ class LsmTree {
   // modifications land in the *active* memtable only (never merging
   // inline); when it fills, the caller seals it onto a queue of immutable
   // memtables, and compaction drains the queue one bounded step at a
-  // time — on a background worker pool, or on the writer itself until
-  // no step is left. A worker may run concurrently with PutNoMerge/
+  // time — on a background compaction thread, or on the writer itself
+  // until no step is left. Compaction may run concurrently with PutNoMerge/
   // DeleteNoMerge as long as the caller serializes them against the
   // active memtable and the sealed list (Db's memtable lock) and gives
   // BackgroundCompactStep exclusive access to the levels (Db's tree
@@ -114,22 +115,18 @@ class LsmTree {
   enum class CompactStep { kNone, kFlush, kMerge };
 
   /// The compaction scheduler's choice of next step, made in this one
-  /// place for every caller: BackgroundCompactStep, lsmssd::Db's worker
-  /// pool, and Db's inline drain on the writer thread.
+  /// place for every caller: BackgroundCompactStep and lsmssd::Engine's
+  /// step runner (its compaction thread, or the inline writer's drain).
   struct CompactPlan {
     /// Flush the oldest sealed memtable first: one is queued and the L0
     /// buffer is not backlogged (see L0BufferBacklogged).
     bool flush = false;
-    /// Then merge out of one of these overflowing sources, shallowest
-    /// first: 0 when the L0 buffer is at K0 capacity, then every on-SSD
-    /// level over K_i. A multi-worker caller takes the first source s it
-    /// can claim (owning levels {s, s+1}) and runs MergeSourceStep(s).
-    std::vector<size_t> merge_sources;
+    /// Otherwise merge out of the shallowest overflowing source
+    /// (MergeSourceStep): 0 when the L0 buffer is at K0 capacity, else
+    /// the first on-SSD level over K_i. Empty when nothing overflows.
+    std::optional<size_t> merge_source;
   };
-  /// With `include_merges` false only `flush` is decided, which reads
-  /// nothing but memory-resident state — for a caller that holds the
-  /// memtable lock but not the tree lock.
-  CompactPlan PlanCompaction(bool include_merges = true) const;
+  CompactPlan PlanCompaction() const;
 
   /// Executes ONE bounded unit of compaction, the first in PlanCompaction's
   /// order — absorbing the oldest sealed memtable into the L0 buffer
@@ -139,23 +136,19 @@ class LsmTree {
   /// Levels may be over capacity between steps; repeated calls until
   /// kNone restore every invariant. Failure atomicity matches
   /// MergeExecutor::Merge. Single-threaded convenience over the phase
-  /// methods below; lsmssd::Db's worker pool drives the phases itself so
-  /// each can run under exactly the locks it needs.
+  /// methods below; lsmssd::Engine drives the phases itself so each can
+  /// run under exactly the locks it needs.
   StatusOr<CompactStep> BackgroundCompactStep();
 
-  // The phases of one step. Locking contracts (Db's discipline, see
+  // The phases of one step. Locking contracts (Engine's discipline, see
   // DESIGN.md "Compaction scheduling & write stalls"): FrontSealed/
   // FlushSealedStep/PopSealedIfDrained touch only memory-resident state
   // (the sealed queue and the L0 buffer), so a flush runs entirely under
-  // the exclusive *memtable* lock — it never takes the tree lock, which
-  // is what lets flushes proceed while another worker holds the tree
-  // lock for a long merge. Merge steps (PlanCompaction's merge sources +
-  // MergeSourceStep) mutate levels and device metadata and need the
-  // exclusive tree lock. The L0 buffer is written by both a flush
-  // (absorb) and an L0 spill (Slice/EraseRange inside MergeSourceStep(0));
-  // neither lock alone orders those two, so Db's per-level ownership
-  // table additionally guarantees at most one worker owns "level 0" at
-  // a time (flush and L0 spill both claim it).
+  // the exclusive *memtable* lock and never takes the tree lock. Merge
+  // steps (MergeSourceStep) mutate levels and device metadata and need
+  // the exclusive tree lock. The L0 buffer is written by both a flush
+  // (absorb) and an L0 spill (Slice/EraseRange inside MergeSourceStep(0))
+  // under different locks, so one thread at a time may run steps.
 
   /// The sealed memtable the next flush step drains (the oldest), or
   /// nullptr when the queue is empty.
@@ -175,9 +168,7 @@ class LsmTree {
   /// One policy-selected merge out of `source` (0 = the L0 buffer spill,
   /// i >= 1 = level Li into Li+1), growing the tree by one level first
   /// when the target does not exist yet. Returns kNone when `source` is
-  /// no longer overflowing (another worker's flush may race the scan for
-  /// source 0 — the buffer only grows, so this is conservative). Failure
-  /// atomicity matches MergeExecutor::Merge.
+  /// not overflowing. Failure atomicity matches MergeExecutor::Merge.
   StatusOr<CompactStep> MergeSourceStep(size_t source);
 
   /// Records currently absorbed into the L0 buffer (always 0 when the

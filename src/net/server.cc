@@ -23,6 +23,14 @@ constexpr int kMaxUnsentKernelBytes = 128 << 10;
 Status ErrnoStatus(const std::string& what, int err) {
   return Status::IoError(what + ": " + std::strerror(err));
 }
+
+std::string UnsupportedVersionReply(uint8_t opcode) {
+  return EncodeFrame(
+      static_cast<uint8_t>(opcode | kResponseBit),
+      EncodeProtocolErrorResponse(
+          WireError::kUnsupportedVersion,
+          "server speaks wire version " + std::to_string(kWireVersion)));
+}
 }  // namespace
 
 /// Per-connection state. The epoll interest, input buffer, and lifecycle
@@ -42,12 +50,17 @@ struct Server::Connection {
   std::string inbuf;
 
   /// One queued unit of a connection's in-order response stream. Shed
-  /// markers (overload / drain rejections) ride the same queue as real
-  /// requests so their error responses interleave in receive order; their
-  /// payload bytes are dropped at parse time, so a marker costs a few
-  /// dozen bytes and zero Db work.
+  /// markers (overload / drain rejections) and a wrong-version rejection
+  /// ride the same queue as real requests so their error responses
+  /// interleave in receive order; their payload bytes are dropped at parse
+  /// time, so a marker costs a few dozen bytes and zero Db work.
   struct WorkItem {
-    enum class Kind : uint8_t { kExecute, kShedOverload, kShedShutdown };
+    enum class Kind : uint8_t {
+      kExecute,
+      kShedOverload,
+      kShedShutdown,
+      kRejectVersion,
+    };
     Frame frame;
     Kind kind = Kind::kExecute;
   };
@@ -365,15 +378,19 @@ void Server::ParseFrames(const std::shared_ptr<Connection>& conn) {
     }
     pos += consumed;
     if (frame.version != kWireVersion) {
+      // Reply, then close once every earlier reply is out. Behind queued
+      // or running frames the rejection takes its turn on the in-order
+      // queue; on an idle connection it is the next reply.
       unsupported_version_frames_.fetch_add(1, std::memory_order_relaxed);
-      const std::string reply = EncodeFrame(
-          static_cast<uint8_t>(frame.opcode | kResponseBit),
-          EncodeProtocolErrorResponse(
-              WireError::kUnsupportedVersion,
-              "server speaks wire version " + std::to_string(kWireVersion)));
       {
         std::lock_guard<std::mutex> l(conn->mu);
-        conn->outbuf.append(reply);
+        if (conn->busy || !conn->pending.empty()) {
+          frame.payload = std::string();
+          conn->pending.push_back(Connection::WorkItem{
+              std::move(frame), Connection::WorkItem::Kind::kRejectVersion});
+        } else {
+          conn->outbuf.append(UnsupportedVersionReply(frame.opcode));
+        }
       }
       conn->closing = true;
       conn->inbuf.clear();
@@ -457,7 +474,8 @@ bool Server::AnswerInline(const std::shared_ptr<Connection>& conn,
   // ParseFrames' TryFlush sends the reply, or closes the connection if
   // the reply evicted it; the wake Respond asks for is not needed here.
   bool unused_signal = false;
-  Respond(conn, *reply, /*last=*/false, &unused_signal);
+  bool unused_idle = false;
+  Respond(conn, *reply, /*last=*/false, &unused_signal, &unused_idle);
   return true;
 }
 
@@ -590,10 +608,10 @@ void Server::WorkerLoop() {
     // out from here; the epoll thread hears of this connection only when
     // it must act (see Respond and Connection::watched).
     bool signal = false;
-    while (true) {
+    bool idle = false;
+    while (!idle) {
       std::deque<Connection::WorkItem> batch;
       bool aborted = false;
-      bool idle = false;
       {
         std::lock_guard<std::mutex> l(conn->mu);
         signal = signal || conn->watched;
@@ -642,16 +660,24 @@ void Server::WorkerLoop() {
                 EncodeProtocolErrorResponse(WireError::kShuttingDown,
                                             "server draining"));
             break;
+          case Connection::WorkItem::Kind::kRejectVersion:
+            reply = UnsupportedVersionReply(item.frame.opcode);
+            break;
         }
         // Gone or evicted: the rest of the batch is not executed.
-        if (!Respond(conn, reply, i + 1 == batch.size(), &signal)) break;
+        if (!Respond(conn, reply, i + 1 == batch.size(), &signal, &idle)) {
+          break;
+        }
       }
+      // Respond released the connection: another worker may own it now.
+      if (idle && signal) SignalFlush(conn);
     }
   }
 }
 
 bool Server::Respond(const std::shared_ptr<Connection>& conn,
-                     std::string_view reply, bool last, bool* signal) {
+                     std::string_view reply, bool last, bool* signal,
+                     bool* idle) {
   using SendResult = Connection::SendResult;
   std::lock_guard<std::mutex> l(conn->mu);
   if (conn->aborted) return false;
@@ -671,6 +697,11 @@ bool Server::Respond(const std::shared_ptr<Connection>& conn,
     return false;
   }
   if (sent == SendResult::kBlocked) *signal = true;  // Arm EPOLLOUT.
+  if (last && conn->pending.empty()) {
+    conn->busy = false;
+    *idle = true;
+    *signal = *signal || conn->watched;
+  }
   return true;
 }
 

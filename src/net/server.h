@@ -172,12 +172,16 @@ class Server {
                                            bool on_event_loop);
   /// Appends one response to conn's output, and sends what the socket
   /// takes when it is the batch's `last` or the backlog is over the cap.
-  /// Returns false when the connection is gone or this response left it
-  /// over the cap after the send (it is then aborted, and a worker skips
-  /// the rest of its frames); sets *signal when the epoll thread must act.
-  /// The one place the backlog cap evicts and counts an eviction.
+  /// After the batch's last send, when no request is pending, it clears
+  /// the busy flag in the same critical section and sets *idle: a client
+  /// that reads the reply and sends its next GET at once finds the
+  /// connection idle. Returns false when the connection is gone or this
+  /// response left it over the cap after the send (it is then aborted,
+  /// and a worker skips the rest of its frames); sets *signal when the
+  /// epoll thread must act. The one place the backlog cap evicts and
+  /// counts an eviction.
   bool Respond(const std::shared_ptr<Connection>& conn,
-               std::string_view reply, bool last, bool* signal);
+               std::string_view reply, bool last, bool* signal, bool* idle);
   bool OverBacklogCap(size_t backlog_bytes) const {
     return opts_.max_conn_backlog_bytes > 0 &&
            backlog_bytes > opts_.max_conn_backlog_bytes;

@@ -1,6 +1,6 @@
 // Compaction pipeline at the Db layer: writes land in WAL + active
-// memtable, and merges run on the worker pool (background mode) or on the
-// writer that sealed the memtable (inline mode). These tests exercise
+// memtable, and merges run on the compaction thread (background mode) or
+// on the writer that sealed the memtable (inline mode). These tests exercise
 // sealing, queue backpressure, wedge/unwedge, checkpoint/recovery
 // interplay with queued memtables, and equivalence of the two modes.
 
@@ -53,11 +53,21 @@ TEST(DbCompactionTest, RejectsZeroQueueDepth) {
   EXPECT_TRUE(db_or.status().IsInvalidArgument());
 }
 
-TEST(DbCompactionTest, RejectsZeroCompactionWorkers) {
-  DbOptions dbopts = BgDbOptions();
-  dbopts.compaction_workers = 0;
-  auto db_or = Db::Open(dbopts, FreshDir("zworkers"));
-  EXPECT_TRUE(db_or.status().IsInvalidArgument());
+TEST(DbCompactionTest, RejectsCompactionWorkersOtherThanOne) {
+  // One compaction thread per engine: any other count is refused, naming
+  // the field, before a directory is created.
+  for (const size_t workers : {0, 2, 4}) {
+    DbOptions dbopts = BgDbOptions();
+    dbopts.compaction_workers = workers;
+    const std::string dir = FreshDir("workers");
+    auto db_or = Db::Open(dbopts, dir);
+    ASSERT_FALSE(db_or.ok()) << workers;
+    EXPECT_TRUE(db_or.status().IsInvalidArgument()) << workers;
+    EXPECT_NE(db_or.status().message().find("compaction_workers"),
+              std::string::npos)
+        << db_or.status().ToString();
+    EXPECT_NE(::access(dir.c_str(), F_OK), 0) << workers;
+  }
 }
 
 TEST(DbCompactionTest, ThrottleCollapsesOnceQueueDrains) {
@@ -94,45 +104,6 @@ TEST(DbCompactionTest, ThrottleCollapsesOnceQueueDrains) {
   for (Key k = 0; k < 400; ++k) {
     ASSERT_TRUE(db.Get(k).ok()) << k;
   }
-}
-
-TEST(DbCompactionTest, ParallelWorkersDrain) {
-  // Multiple workers: contents, invariants, and idle semantics
-  // (WaitForCompaction returns only once every worker is done) all hold.
-  DbOptions dbopts = BgDbOptions();
-  dbopts.compaction_workers = 3;
-  dbopts.compaction_queue_depth = 2;
-  auto db_or = Db::Open(dbopts, FreshDir("parworkers"));
-  ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
-  Db& db = *db_or.value();
-
-  std::map<Key, std::string> oracle;
-  Random rng(20260809);
-  for (int i = 0; i < 1500; ++i) {
-    const Key k = rng.Uniform(300);
-    if (rng.Uniform(10) == 0) {
-      ASSERT_TRUE(db.Delete(k).ok());
-      oracle.erase(k);
-    } else {
-      const std::string payload = MakePayload(dbopts.options, k + i);
-      ASSERT_TRUE(db.Put(k, payload).ok());
-      oracle[k] = payload;
-    }
-  }
-  ASSERT_TRUE(db.WaitForCompaction().ok());
-  ASSERT_TRUE(db.tree()->CheckInvariants(/*deep=*/true).ok());
-
-  for (Key k = 0; k < 300; ++k) {
-    auto v = db.Get(k);
-    auto it = oracle.find(k);
-    if (it == oracle.end()) {
-      EXPECT_TRUE(v.status().IsNotFound()) << k;
-    } else {
-      ASSERT_TRUE(v.ok()) << k << ": " << v.status().ToString();
-      EXPECT_EQ(v.value(), it->second) << k;
-    }
-  }
-  EXPECT_EQ(db.Stats().compaction_queue_depth, 0u);
 }
 
 TEST(DbCompactionTest, WritesReadableWhileWorkerDrains) {

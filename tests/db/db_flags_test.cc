@@ -100,6 +100,18 @@ TEST(CheckKnownFlagsTest, CatchesTypos) {
   EXPECT_NE(bad.message().find("shrads"), std::string::npos);
 }
 
+TEST(CheckKnownFlagsTest, CompactionWorkersIsNoLongerAFlag) {
+  // One compaction thread per engine: the worker-count flag is gone, so
+  // it is refused like any typo instead of being silently ignored.
+  std::vector<std::string_view> known;
+  AppendDbFlagNames(&known);
+  const Status bad =
+      CheckKnownFlags(MustParse({"--compaction-workers=2"}), known);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_TRUE(bad.IsInvalidArgument());
+  EXPECT_NE(bad.message().find("compaction-workers"), std::string::npos);
+}
+
 class DbOptionsFromFlagsTest : public ::testing::Test {
  protected:
   StatusOr<DbOptions> Build(std::vector<std::string> args) {
@@ -118,7 +130,6 @@ TEST_F(DbOptionsFromFlagsTest, DefaultsAreServingDefaults) {
   EXPECT_EQ(o.wal_sync_every_n, 64u);
   EXPECT_EQ(o.checkpoint_wal_bytes, 8u * 1024 * 1024);
   EXPECT_FALSE(o.background_compaction);
-  EXPECT_EQ(o.compaction_workers, 1u);
   EXPECT_EQ(o.shards, 1u);
   EXPECT_EQ(o.scrub_interval_ms, 0u);
   EXPECT_EQ(o.max_device_blocks, 0u);
@@ -133,7 +144,7 @@ TEST_F(DbOptionsFromFlagsTest, AllFlagsReachTheirFields) {
   auto dbopts_or = Build({"--policy=TestMixed", "--bloom=10",
                           "--cache-blocks=32", "--sync=always",
                           "--checkpoint-wal-mb=2", "--background-compaction",
-                          "--compaction-workers=3", "--shards=4",
+                          "--shards=4",
                           "--scrub-interval-ms=50", "--max-device-blocks=999",
                           "--vlog-threshold=128", "--vlog-gc-ratio=0.4"});
   ASSERT_TRUE(dbopts_or.ok()) << dbopts_or.status().message();
@@ -144,7 +155,6 @@ TEST_F(DbOptionsFromFlagsTest, AllFlagsReachTheirFields) {
   EXPECT_EQ(o.wal_sync_mode, WalSyncMode::kAlways);
   EXPECT_EQ(o.checkpoint_wal_bytes, 2u * 1024 * 1024);
   EXPECT_TRUE(o.background_compaction);
-  EXPECT_EQ(o.compaction_workers, 3u);
   EXPECT_EQ(o.shards, 4u);
   EXPECT_EQ(o.scrub_interval_ms, 50u);
   EXPECT_EQ(o.max_device_blocks, 999u);
@@ -167,8 +177,6 @@ TEST_F(DbOptionsFromFlagsTest, BadValuesAreInvalidArgumentNamingTheFlag) {
       {{"--bloom=ten"}, "bloom"},
       {{"--checkpoint-wal-mb=1.5"}, "checkpoint-wal-mb"},
       {{"--background-compaction=maybe"}, "background-compaction"},
-      {{"--compaction-workers=0"}, "compaction-workers"},
-      {{"--compaction-workers=many"}, "compaction-workers"},
       {{"--vlog-threshold=8"}, "vlog-threshold"},    // <= pointer size.
       {{"--vlog-threshold=16"}, "vlog-threshold"},   // == pointer size.
       {{"--vlog-threshold=lots"}, "vlog-threshold"},

@@ -232,28 +232,5 @@ TEST(BackgroundCompactionStressTest, WritersReadersMatchSerialOracle) {
   RunStressAgainstOracle(FreshDir("oracle"), dbopts, kOpsPerWriter);
 }
 
-TEST(BackgroundCompactionStressTest, ParallelWorkersMatchSerialOracle) {
-  // The worker-pool variant: three compaction workers race over the
-  // ownership table — flushes (under mem_mu_ + claim{0}) overlap merges
-  // (under tree_mu_ + claim{s,s+1}) — against a shallow queue that keeps
-  // writers at the throttle and stall walls. Under TSan this is the
-  // data-race check for the parallel-compaction locking layer; the
-  // oracle + recovery check catches lost or misordered L0-buffer
-  // mutations (e.g. a flush shifting record positions under an in-flight
-  // spill's erase range).
-  DbOptions dbopts;
-  dbopts.options = TinyOptions();
-  dbopts.wal_sync_mode = WalSyncMode::kEveryN;
-  dbopts.wal_sync_every_n = 32;
-  dbopts.checkpoint_wal_bytes = 64 * 1024;
-  dbopts.background_checkpoint = true;
-  dbopts.background_compaction = true;
-  dbopts.compaction_workers = 3;
-  dbopts.compaction_queue_depth = 2;  // Even shallower: constant pressure.
-  dbopts.compaction_slowdown_depth = 1;
-  dbopts.compaction_slowdown_micros = 50;
-  RunStressAgainstOracle(FreshDir("parallel"), dbopts, 8'000);
-}
-
 }  // namespace
 }  // namespace lsmssd

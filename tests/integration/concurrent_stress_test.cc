@@ -206,7 +206,7 @@ TEST(ConcurrentStressTest, WritersReadersCheckpointsMatchSerialOracle) {
 }
 
 // Same writer/reader mix against a 4-shard Db: routing, the N-way scan
-// merge, and four independent engines' compaction workers all run under
+// merge, and four independent engines' compaction threads all run under
 // the same serial-oracle check.
 TEST(ConcurrentStressTest, ShardedWritersReadersScansMatchSerialOracle) {
   const std::string dir = ::testing::TempDir() + "/stress_sharded_" +

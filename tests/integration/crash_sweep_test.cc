@@ -229,14 +229,13 @@ TEST(CrashSweepTest, SyncNone) { SweepMode("none", WalSyncMode::kNone); }
 /// Crash-point sweep with background *compaction* in flight: commits seal
 /// full memtables onto the queue and the compaction thread runs the
 /// flushes and merges, so the injector's durable steps interleave writer
-/// WAL/checkpoint steps with worker block writes nondeterministically —
+/// WAL/checkpoint steps with compaction block writes nondeterministically —
 /// the kill lands mid-flush or mid-merge on many of the sweep's points.
 /// The durable frontier is still computed exactly as in SweepMode (WAL
 /// syncs and inline checkpoints happen only on the writer thread), and
 /// recovery must additionally leave zero leaked blocks: the device's live
 /// set is exactly the recovered leaves.
-void SweepBackgroundCompaction(const char* tag, WalSyncMode mode,
-                               size_t workers = 1) {
+void SweepBackgroundCompaction(const char* tag, WalSyncMode mode) {
   FaultInjector injector;
   DbOptions dbopts;
   dbopts.options = TinyOptions();
@@ -245,10 +244,9 @@ void SweepBackgroundCompaction(const char* tag, WalSyncMode mode,
   dbopts.wal_sync_every_n = 7;
   dbopts.checkpoint_wal_bytes = 1000;  // Auto-checkpoints mid-workload.
   // Inline checkpoints keep the durable frontier a pure function of the
-  // writer's own progress; only the compaction workers interleave.
+  // writer's own progress; only the compaction thread interleaves.
   dbopts.background_checkpoint = false;
   dbopts.background_compaction = true;
-  dbopts.compaction_workers = workers;
   // A shallow queue so the sweep also crosses throttled and stalled
   // commits, not just quiescent-worker windows.
   dbopts.compaction_queue_depth = 2;
@@ -269,14 +267,13 @@ void SweepBackgroundCompaction(const char* tag, WalSyncMode mode,
     prefix_states.push_back(std::move(next));
   }
 
-  // Pass 1: size the sweep from a disarmed run. The workers' steps
+  // Pass 1: size the sweep from a disarmed run. The compaction steps
   // interleave nondeterministically, so the count varies run to run; pad
-  // the range so late crash points stay covered (more with a pool — its
-  // interleavings spread the step clock wider).
+  // the range so late crash points stay covered.
   const std::string count_dir = WipedDir(std::string(tag) + "_count");
   const RunResult full = RunWorkload(dbopts, count_dir, &injector);
   ASSERT_GT(full.steps, 0u);
-  const uint64_t sweep_steps = full.steps + (workers > 1 ? 16 : 8);
+  const uint64_t sweep_steps = full.steps + 8;
 
   for (uint64_t crash_at = 0; crash_at < sweep_steps; ++crash_at) {
     SCOPED_TRACE(std::string(tag) + " crash at step " +
@@ -337,14 +334,6 @@ TEST(CrashSweepTest, BackgroundCompactionSyncEveryN) {
 
 TEST(CrashSweepTest, BackgroundCompactionSyncNone) {
   SweepBackgroundCompaction("bgc_none", WalSyncMode::kNone);
-}
-
-TEST(CrashSweepTest, ParallelCompactionWorkersSyncEveryN) {
-  // Two workers: the kill can land inside two concurrent steps — a flush
-  // absorbing under mem_mu_ while a merge writes blocks under tree_mu_.
-  // The guarantees are unchanged: recovery lands on a durable-frontier
-  // prefix and the device leaks zero blocks.
-  SweepBackgroundCompaction("bgc_par", WalSyncMode::kEveryN, /*workers=*/2);
 }
 
 // A double-crash must not weaken the guarantee: crash during the

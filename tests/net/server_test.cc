@@ -1246,5 +1246,87 @@ TEST(ServerTest, ContendedGetLeavesTheEventLoopFree) {
   EXPECT_EQ(body, Payload(options, 1));
 }
 
+// A worker clears a connection's busy flag in the same critical section
+// as the send of its last reply, so a GET the client sends as soon as
+// that reply arrives finds the connection idle and runs on the event
+// loop.
+TEST(ServerTest, GetRightAfterAWorkerReplyRunsInline) {
+  ServerFixture fx("afterworker");
+  const Options& options = fx.db->options();
+  constexpr Key kSeeded = 500;
+  for (Key k = 1; k <= kSeeded; ++k) {
+    ASSERT_TRUE(fx.db->Put(k, Payload(options, k)).ok());
+  }
+  LsmTree& tree = *fx.db->tree();
+  ASSERT_EQ(tree.FindInMemtables(1), nullptr);
+  ASSERT_NE(tree.FindInMemtables(kSeeded), nullptr);
+
+  auto client = fx.Connect();
+  for (int round = 0; round < 20; ++round) {
+    const uint64_t inline_before = fx.server->counters().frames_inline;
+    auto got = client->Get(1);  // Reads the device: a worker answers.
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(fx.server->counters().frames_inline, inline_before) << round;
+    got = client->Get(kSeeded);  // A memtable hit, sent at once.
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, Payload(options, kSeeded));
+    EXPECT_EQ(fx.server->counters().frames_inline, inline_before + 1)
+        << "round " << round
+        << ": the GET queued behind a worker that had already replied";
+  }
+}
+
+// A wrong-version frame pipelined behind a request that is still on a
+// worker is rejected in its turn: the earlier reply goes out first, then
+// the rejection, then the close.
+TEST(ServerTest, UnsupportedVersionReplyWaitsForEarlierReplies) {
+  WorkerGate gate;
+  ServerOptions sopts;
+  sopts.workers = 1;
+  sopts.worker_hook_for_testing = gate.Hook();
+  ServerFixture fx("version_order", TinyDbOptions(), sopts);
+  const Options& options = fx.db->options();
+
+  RawConn raw(fx.server->port());
+  raw.Send(EncodeFrame(static_cast<uint8_t>(Opcode::kPut),
+                       EncodePutRequest(1, Payload(options, 1))) +
+           HandEncodeFrame(kWireVersion + 1, static_cast<uint8_t>(Opcode::kGet),
+                           EncodeGetRequest(1)));
+  gate.AwaitEntered();
+  // The event loop has parsed the wrong-version frame before the PUT may
+  // finish.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (fx.server->counters().unsupported_version_frames < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(fx.server->counters().unsupported_version_frames, 1u);
+  gate.Release();
+
+  std::string buf = raw.ReadUntilEof();
+  Frame put_reply;
+  Frame reject;
+  size_t consumed = 0;
+  ASSERT_EQ(DecodeFrame(buf, kDefaultMaxPayloadBytes, &put_reply, &consumed,
+                        nullptr),
+            FrameDecodeResult::kFrame);
+  buf.erase(0, consumed);
+  ASSERT_EQ(DecodeFrame(buf, kDefaultMaxPayloadBytes, &reject, &consumed,
+                        nullptr),
+            FrameDecodeResult::kFrame);
+  EXPECT_EQ(consumed, buf.size()) << "bytes after the rejection";
+
+  std::string_view body;
+  EXPECT_EQ(put_reply.opcode,
+            static_cast<uint8_t>(Opcode::kPut) | kResponseBit)
+      << "the rejection overtook the PUT's reply";
+  EXPECT_TRUE(DecodeResponseStatus(put_reply.payload, &body).ok());
+  EXPECT_EQ(reject.opcode, static_cast<uint8_t>(Opcode::kGet) | kResponseBit);
+  const Status st = DecodeResponseStatus(reject.payload, &body);
+  EXPECT_NE(st.message().find("version"), std::string::npos) << st.ToString();
+  EXPECT_TRUE(fx.db->Get(1).ok());
+}
+
 }  // namespace
 }  // namespace lsmssd::net

@@ -10,8 +10,7 @@
 //                  [--policy=ChooseBest] [--bloom=0] [--cache-blocks=0]
 //                  [--sync=always|everyn|none] [--sync-n=64]
 //                  [--checkpoint-wal-mb=8] [--threads=1]
-//                  [--background-compaction] [--compaction-workers=1]
-//                  [--shards=1]
+//                  [--background-compaction] [--shards=1]
 //                  [--scrub-interval-ms=0] [--max-device-blocks=0]
 //       Persistent mode: open (or crash-recover) the Db at DIR, apply n
 //       workload requests through the WAL, checkpoint on exit, and print
@@ -24,11 +23,8 @@
 //       seals a full memtable runs the same steps itself); the stats
 //       line then reports queue depth, throttle/stall counts, and the
 //       stall-latency histogram.
-//       --compaction-workers=N runs N compaction threads (flushes and
-//       merges of disjoint levels in parallel, coordinated by per-level
-//       ownership).
 //       --shards=N hash-partitions keys over N independent LSM shards
-//       (each with its own WAL, device file, and compaction worker); the
+//       (each with its own WAL, device file, and compaction thread); the
 //       layout is recorded in DIR/SHARDS, so later runs may omit the
 //       flag. The stats line then adds the shard count, and every
 //       counter (stall fields included) is aggregated across the shards.
@@ -320,7 +316,7 @@ int CmdRunDb(const Flags& flags) {
     if (!ok.load()) return 1;
   }
   // Drain the compaction queue before the final checkpoint: a busy
-  // worker pool may still hold sealed memtables, and the one-shot
+  // compaction thread may still hold sealed memtables, and the one-shot
   // run contract is queue_depth=0 in the exit stats.
   if (Status st = db.WaitForCompaction(); !st.ok()) {
     std::cerr << "compaction drain failed: " << st.ToString() << "\n";
