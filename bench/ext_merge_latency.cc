@@ -24,7 +24,6 @@
 // status: the binary exits 1 when one fails.
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -108,21 +107,6 @@ Distribution MeasureMergeCosts(const PolicySpec& policy, double dataset_mb,
   d.preserved_at_max = preserved_at_max;
   d.bottom_blocks_at_max = bottom_blocks_at_max;
   return d;
-}
-
-/// `git describe --always --dirty` of the working directory, or
-/// "unknown" outside a git checkout.
-std::string GitDescribe() {
-  std::string out;
-  if (FILE* p = ::popen("git describe --always --dirty 2>/dev/null", "r")) {
-    std::array<char, 128> buf{};
-    while (std::fgets(buf.data(), buf.size(), p) != nullptr) out += buf.data();
-    ::pclose(p);
-  }
-  while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) {
-    out.pop_back();
-  }
-  return out.empty() ? "unknown" : out;
 }
 
 // ---- Part 2: per-Put latency, inline vs background ----------------------
@@ -288,8 +272,7 @@ int Main() {
     std::snprintf(buf, sizeof(buf),
                   "  \"scale\": %g,\n  \"host_cpus\": %u,\n"
                   "  \"git\": \"%s\",\n",
-                  scale, std::thread::hardware_concurrency(),
-                  GitDescribe().c_str());
+                  scale, HostCpus(), GitDescribe().c_str());
     json += buf;
   }
   json += "  \"per_merge_write_cost\": [\n";

@@ -50,6 +50,7 @@
 #include <vector>
 
 #include "bench/harness/embedded_server.h"
+#include "bench/harness/experiment.h"
 #include "src/net/client.h"
 #include "src/net/fault_socket.h"
 #include "src/storage/fault_injection.h"
@@ -663,6 +664,7 @@ int Main(int argc, char** argv) {
   std::snprintf(
       buf, sizeof(buf),
       "{\n  \"bench\": \"server_chaos\",\n  \"scale\": %g,\n"
+      "  \"host_cpus\": %u,\n  \"git\": \"%s\",\n"
       "  \"records\": %llu,\n  \"threads\": %zu,\n"
       "  \"overload\": {\"frames_sent\": %llu, \"answered\": %llu, "
       "\"ok\": %llu, \"shed\": %llu, \"backpressure\": %llu, "
@@ -685,7 +687,8 @@ int Main(int argc, char** argv) {
       "\"quarantined_blocks\": %llu, \"leak_check_ok\": %s, "
       "\"checkpoints\": %llu},\n"
       "  \"passed\": %s\n}\n",
-      scale, static_cast<unsigned long long>(records), threads,
+      scale, HostCpus(), GitDescribe().c_str(),
+      static_cast<unsigned long long>(records), threads,
       static_cast<unsigned long long>(overload.frames_sent),
       static_cast<unsigned long long>(answered),
       static_cast<unsigned long long>(overload.ok),

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "bench/harness/embedded_server.h"
+#include "bench/harness/experiment.h"
 #include "src/net/client.h"
 #include "src/util/flags.h"
 #include "src/util/histogram.h"
@@ -470,10 +471,10 @@ int Main(int argc, char** argv) {
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "  \"scale\": %g,\n  \"threads\": %zu,\n"
-                  "  \"host_cpus\": %u,\n"
+                  "  \"host_cpus\": %u,\n  \"git\": \"%s\",\n"
                   "  \"records\": %llu,\n  \"ops_per_workload\": %llu,\n"
                   "  \"window_ms\": %llu,\n  \"load_seconds\": %.3f,\n",
-                  scale, threads, std::thread::hardware_concurrency(),
+                  scale, threads, HostCpus(), GitDescribe().c_str(),
                   static_cast<unsigned long long>(records),
                   static_cast<unsigned long long>(ops),
                   static_cast<unsigned long long>(kWindowMs), load_seconds);

@@ -220,11 +220,11 @@ void Main() {
 
   std::string json = "{\n  \"bench\": \"ext_shard_scaling\",\n";
   {
-    char buf[128];
+    char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "  \"scale\": %g,\n  \"writers\": %d,\n"
-                  "  \"host_cpus\": %u,\n",
-                  scale, kWriters, std::thread::hardware_concurrency());
+                  "  \"host_cpus\": %u,\n  \"git\": \"%s\",\n",
+                  scale, kWriters, HostCpus(), GitDescribe().c_str());
     json += buf;
   }
   json += "  \"sweep\": [\n";

@@ -201,10 +201,12 @@ void Main() {
 
   std::string json = "{\n  \"bench\": \"ext_vlog_crossover\",\n";
   {
-    char buf[160];
+    char buf[256];
     std::snprintf(buf, sizeof(buf),
-                  "  \"scale\": %g,\n  \"vlog_threshold\": %llu,\n",
-                  scale, static_cast<unsigned long long>(kVlogThreshold));
+                  "  \"scale\": %g,\n  \"host_cpus\": %u,\n"
+                  "  \"git\": \"%s\",\n  \"vlog_threshold\": %llu,\n",
+                  scale, HostCpus(), GitDescribe().c_str(),
+                  static_cast<unsigned long long>(kVlogThreshold));
     json += buf;
   }
   json += "  \"sweep\": [\n";

@@ -1,7 +1,10 @@
 #include "bench/harness/experiment.h"
 
+#include <array>
+#include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <thread>
 
 #include "src/util/logging.h"
 
@@ -13,6 +16,21 @@ double ScaleFromEnv() {
   const double v = std::atof(scale);
   return v > 0 ? v : 1.0;
 }
+
+std::string GitDescribe() {
+  std::string out;
+  if (FILE* p = ::popen("git describe --always --dirty 2>/dev/null", "r")) {
+    std::array<char, 128> buf{};
+    while (std::fgets(buf.data(), buf.size(), p) != nullptr) out += buf.data();
+    ::pclose(p);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) {
+    out.pop_back();
+  }
+  return out.empty() ? "unknown" : out;
+}
+
+unsigned HostCpus() { return std::thread::hardware_concurrency(); }
 
 Options BenchOptions() {
   Options options;

@@ -23,6 +23,14 @@ namespace lsmssd::bench {
 /// experiments toward the paper's dataset sizes.
 double ScaleFromEnv();
 
+/// `git describe --always --dirty` of the working directory, or
+/// "unknown" outside a git checkout. Every BENCH_*.json records it.
+std::string GitDescribe();
+
+/// CPUs of the host (std::thread::hardware_concurrency()), recorded next
+/// to GitDescribe() so a result names the machine shape it came from.
+unsigned HostCpus();
+
 /// The benchmark tree configuration: the paper's setup (4 KB blocks,
 /// 100-byte payloads, Gamma=10, epsilon=0.2, delta=0.07) shrunk to laptop
 /// scale — 1 KiB blocks, 40-byte payloads (B=22), K0=25 blocks — so the

@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) of the hot primitives underneath the
 // merge engine: block encode/decode, memtable ops, leaf-directory lookup,
-// the ChooseBest metadata scan, the LRU cache, and a short range scan
-// through a Db iterator. These quantify the CPU overhead that Section V
+// the ChooseBest metadata scan, the LRU cache, a short range scan
+// through a Db iterator, and the write path's WAL append and group-commit
+// Put. These quantify the CPU overhead that Section V
 // reports as 2%-16% of total request time.
 
 #include <benchmark/benchmark.h>
@@ -18,6 +19,7 @@
 #include "src/lsm/level.h"
 #include "src/lsm/lsm_tree.h"
 #include "src/lsm/memtable.h"
+#include "src/lsm/wal.h"
 #include "src/policy/choose_best_policy.h"
 #include "src/policy/policy_factory.h"
 #include "src/storage/lru_cache.h"
@@ -229,6 +231,17 @@ void BM_TreeGetWarmCache(benchmark::State& state) {
 }
 BENCHMARK(BM_TreeGetWarmCache);
 
+/// A fresh, empty directory under the temp dir, unique to this process.
+std::string FreshBenchDir(const std::string& tag) {
+  const std::string dir = (std::filesystem::temp_directory_path() /
+                           ("lsmssd_micro_" + tag + "_" +
+                            std::to_string(::getpid())))
+                              .string();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
 void BM_DbScan50(benchmark::State& state) {
   // One short range scan through Db::NewIterator: Seek to a random key,
   // then 50 Next calls — the shape of a YCSB-E SCAN. The store has three
@@ -249,11 +262,7 @@ void BM_DbScan50(benchmark::State& state) {
   options.bloom_bits_per_key = 10;
   dbopts.wal_sync_mode = WalSyncMode::kNone;
   dbopts.checkpoint_wal_bytes = 0;
-  const std::string dir =
-      (std::filesystem::temp_directory_path() /
-       ("lsmssd_micro_scan_" + std::to_string(::getpid())))
-          .string();
-  std::filesystem::remove_all(dir);
+  const std::string dir = FreshBenchDir("scan");
   auto db_or = Db::Open(dbopts, dir);
   LSMSSD_CHECK(db_or.ok()) << db_or.status().ToString();
   Db& db = *db_or.value();
@@ -294,6 +303,68 @@ void BM_DbScan50(benchmark::State& state) {
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_DbScan50);
+
+void BM_WalWriterAppend(benchmark::State& state) {
+  // One WalWriter::Append of a 40-byte Put (the repository benchmark's
+  // payload): framing into the commit buffer, plus the one write per
+  // 64 KiB it amortizes. No fsync; the file is truncated (untimed) every
+  // 16 MiB.
+  const std::string dir = FreshBenchDir("wal");
+  auto writer_or = WalWriter::Open(dir + "/wal.log");
+  LSMSSD_CHECK(writer_or.ok()) << writer_or.status().ToString();
+  WalWriter& wal = *writer_or.value();
+  Record record = Record::Put(1, std::string(40, 'x'));
+  uint64_t truncated_at = 0;
+  for (auto _ : state) {
+    LSMSSD_CHECK(wal.Append(record).ok());
+    ++record.key;
+    if (wal.bytes_appended() - truncated_at >= (16u << 20)) {
+      state.PauseTiming();
+      LSMSSD_CHECK(wal.Truncate().ok());
+      truncated_at = wal.bytes_appended();
+      state.ResumeTiming();
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+  writer_or.value().reset();
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_WalWriterAppend);
+
+void BM_DbPutEveryN(benchmark::State& state) {
+  // One Db::Put from one thread under group commit (kEveryN, N = 64):
+  // the commit path alone — the WAL append, the memtable apply, and one
+  // write + fsync per 64 Puts. Geometry as in BM_DbScan50; the 512
+  // uniform keys stay under the memtable's K0 * B = 550 records, so no
+  // Put seals a memtable or runs a compaction step.
+  DbOptions dbopts;
+  Options& options = dbopts.options;
+  options.block_size = 1024;
+  options.key_size = 4;
+  options.payload_size = 40;
+  options.level0_capacity_blocks = 25;
+  options.gamma = 10.0;
+  options.delta = 0.07;
+  options.cache_blocks = 1024;
+  options.bloom_bits_per_key = 10;
+  dbopts.wal_sync_mode = WalSyncMode::kEveryN;
+  dbopts.wal_sync_every_n = 64;
+  const std::string dir = FreshBenchDir("put");
+  auto db_or = Db::Open(dbopts, dir);
+  LSMSSD_CHECK(db_or.ok()) << db_or.status().ToString();
+  Db& db = *db_or.value();
+  const std::string payload(options.payload_size, 'x');
+  Random rng(17);
+  for (auto _ : state) {
+    LSMSSD_CHECK(db.Put(rng.Uniform(512) + 1, payload).ok());
+  }
+  state.SetItemsProcessed(state.iterations());
+  LSMSSD_CHECK_EQ(db.Stats().memtables_sealed, 0u);
+  db.Close();
+  db_or.value().reset();
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_DbPutEveryN);
 
 void BM_ChooseBestScan(benchmark::State& state) {
   // The paper's Section III-C CPU overhead: one simultaneous metadata scan

@@ -49,11 +49,11 @@ class Db {
                                             const std::string& dir);
 
   /// Joins every engine's background threads (finishing any in-flight
-  /// checkpoint). Idempotent; called automatically by the destructor.
-  /// Concurrent operations must have completed before Close() — it is a
-  /// lifetime event, not an operation. The destructor then makes a
-  /// best-effort final WAL sync per engine; it takes no checkpoint, so
-  /// reopening replays the WAL.
+  /// checkpoint), then makes a best-effort final WAL sync per engine,
+  /// which writes out its commit buffer. It takes no checkpoint, so
+  /// reopening replays the WAL. Idempotent; called automatically by the
+  /// destructor. Concurrent operations must have completed before
+  /// Close() — it is a lifetime event, not an operation.
   void Close();
   ~Db();
 

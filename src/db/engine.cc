@@ -408,14 +408,17 @@ void Engine::Close() {
   }
   comp_cv_.notify_one();
   if (compaction_.joinable()) compaction_.join();
+  // Best-effort final sync: writes out the commit buffer. Value bytes
+  // before the pointers that reference them, as everywhere. A failed
+  // engine writes nothing more, like a crashed process.
+  std::unique_lock<std::mutex> lk(db_mu_);
+  sync_cv_.wait(lk, [this] { return !sync_in_progress_; });
+  if (failed()) return;
+  if (vlog_head_ != nullptr) (void)vlog_head_->Sync();
+  if (wal_ != nullptr) (void)wal_->Sync();
 }
 
-Engine::~Engine() {
-  Close();
-  // Value bytes before the pointers that reference them, as everywhere.
-  if (!failed() && vlog_head_ != nullptr) (void)vlog_head_->Sync();
-  if (!failed() && wal_ != nullptr) (void)wal_->Sync();
-}
+Engine::~Engine() { Close(); }
 
 Status Engine::FailLocked(Status st) {
   LSMSSD_CHECK(!st.ok());
@@ -440,30 +443,30 @@ uint64_t Engine::WalLiveBytesLocked() const {
 }
 
 Status Engine::Put(Key key, std::string_view payload) {
-  return Apply(Record::Put(key, std::string(payload)));
+  return Apply(RecordType::kPut, key, payload);
 }
 
-Status Engine::Delete(Key key) { return Apply(Record::Tombstone(key)); }
+Status Engine::Delete(Key key) { return Apply(RecordType::kDelete, key, {}); }
 
-Status Engine::Apply(const Record& record) {
+Status Engine::Apply(RecordType type, Key key, std::string_view payload) {
   // Validate before logging (and before taking any lock): the WAL must
   // never carry an entry the tree would reject on replay. tree_ and its
   // options are immutable after Open.
   const Options& options = tree_->options();
-  if (!record.is_tombstone() &&
-      record.payload.size() != options.payload_size) {
+  if (type == RecordType::kPut && payload.size() != options.payload_size) {
     return Status::InvalidArgument("payload must be exactly payload_size");
   }
-  if (record.key > MaxKeyForSize(options.key_size)) {
+  if (key > MaxKeyForSize(options.key_size)) {
     return Status::InvalidArgument("key does not fit in key_size bytes");
   }
 
   std::unique_lock<std::mutex> lk(db_mu_);
   if (failed()) return FailedStatus();
-  return ApplyLocked(record, lk);
+  return ApplyLocked(type, key, payload, lk);
 }
 
-Status Engine::ApplyLocked(const Record& in, std::unique_lock<std::mutex>& lk) {
+Status Engine::ApplyLocked(RecordType type, Key key, std::string_view payload,
+                           std::unique_lock<std::mutex>& lk) {
   // Background mode: make room in the memtable pipeline *before* the WAL
   // append (throttle, seal a full memtable, stall on a full queue), so an
   // op that must be refused — compaction wedged on a full device — is
@@ -477,21 +480,18 @@ Status Engine::ApplyLocked(const Record& in, std::unique_lock<std::mutex>& lk) {
   // 16-byte pointer instead — the WAL frame, memtable, and every block
   // the record ever occupies carry the pointer, so merges move O(pointer)
   // bytes per record no matter how large the value.
-  Record pointer_record;
-  const Record* rec = &in;
-  if (vlog_on_ && !in.is_tombstone()) {
-    pointer_record = in;
-    LSMSSD_RETURN_IF_ERROR(VlogAppendLocked(&pointer_record));
-    rec = &pointer_record;
+  std::string pointer;
+  if (vlog_on_ && type == RecordType::kPut) {
+    LSMSSD_RETURN_IF_ERROR(VlogAppendLocked(key, payload, &pointer));
+    payload = pointer;
   }
-  const Record& record = *rec;
 
   // Append + apply under one continuous db_mu_ hold, so tree apply order
-  // is exactly WAL append order (recovery replays the same sequence).
+  // is exactly WAL append order (recovery replays the same sequence). The
+  // append only frames the entry into the commit buffer; the file write
+  // happens in a group-commit round (SyncCoveringLocked and friends).
   const uint64_t bytes_before = wal_->bytes_appended();
-  if (Status st = wal_->Append(record); !st.ok()) {
-    return FailLocked(std::move(st));
-  }
+  wal_->Buffer(type, key, payload);
   wal_bytes_total_ += wal_->bytes_appended() - bytes_before;
   const uint64_t my_seq = ++seq_appended_;
 
@@ -500,9 +500,9 @@ Status Engine::ApplyLocked(const Record& in, std::unique_lock<std::mutex>& lk) {
     // probe it shared), never touching tree_mu_ — so this write cannot
     // wait behind a running merge step.
     std::unique_lock<SharedMutex> mlk(mem_mu_);
-    Status st = record.is_tombstone()
-                    ? tree_->DeleteNoMerge(record.key)
-                    : tree_->PutNoMerge(record.key, record.payload);
+    Status st = type == RecordType::kDelete
+                    ? tree_->DeleteNoMerge(key)
+                    : tree_->PutNoMerge(key, payload);
     if (!st.ok()) {
       // Unreachable after the validation above; treat as a logic fault.
       mlk.unlock();
@@ -549,6 +549,11 @@ Status Engine::ApplyLocked(const Record& in, std::unique_lock<std::mutex>& lk) {
     case WalSyncMode::kNone:
       break;
   }
+  // Every mode: the commit buffer is bounded, so kNone (and a kEveryN
+  // batch of large entries) writes it out once it reaches the bound.
+  if (wal_->pending_bytes() >= WalWriter::kMaxPendingBytes) {
+    LSMSSD_RETURN_IF_ERROR(FlushWalLocked(lk));
+  }
 
   if (dbopts_.checkpoint_wal_bytes > 0 &&
       WalLiveBytesLocked() >= dbopts_.checkpoint_wal_bytes) {
@@ -566,21 +571,22 @@ Status Engine::ApplyLocked(const Record& in, std::unique_lock<std::mutex>& lk) {
   return Status::OK();
 }
 
-Status Engine::VlogAppendLocked(Record* record) {
+Status Engine::VlogAppendLocked(Key key, std::string_view value,
+                                std::string* pointer) {
   if (vlog_head_offset_ >= dbopts_.vlog_segment_bytes) {
     LSMSSD_RETURN_IF_ERROR(RollVlogLocked());
   }
-  const std::string entry = vlog::EncodeEntry(record->key, record->payload);
+  const std::string entry = vlog::EncodeEntry(key, value);
   if (Status st = vlog_head_->Append(entry); !st.ok()) {
     return FailLocked(std::move(st));
   }
   VlogPointer ptr;
   ptr.file = static_cast<uint32_t>(vlog_head_file_);
   ptr.offset = vlog_head_offset_;
-  ptr.length = static_cast<uint32_t>(record->payload.size());
+  ptr.length = static_cast<uint32_t>(value.size());
   vlog_head_offset_ += entry.size();
   vlog_bytes_appended_ += entry.size();
-  record->payload = EncodeVlogPointerToString(ptr);
+  *pointer = EncodeVlogPointerToString(ptr);
   return Status::OK();
 }
 
@@ -602,6 +608,34 @@ Status Engine::RollVlogLocked() {
   return Status::OK();
 }
 
+Status Engine::WalRoundLocked(std::unique_lock<std::mutex>& lk, bool sync) {
+  LSMSSD_CHECK(!sync_in_progress_);
+  // Claim everything appended so far, then write it with one write() and
+  // fsync once for the whole batch with the commit lock released. Writers
+  // keep framing into the emptied commit buffer meanwhile; only one round
+  // runs at a time, so file order is append order. The vlog head syncs
+  // FIRST: a WAL-durable pointer whose value bytes were lost would dangle
+  // (recovery tolerates a dangling *suffix* only because of this
+  // ordering). Segments sealed before the claim were synced at roll time.
+  sync_in_progress_ = true;
+  const uint64_t cover = seq_appended_;
+  if (sync) sync_target_ = std::max(sync_target_, cover);
+  wal_->SealBatch();
+  VlogFile* vlog_head = sync ? vlog_head_ : nullptr;
+  lk.unlock();
+  Status st = vlog_head != nullptr ? vlog_head->Sync() : Status::OK();
+  if (st.ok()) st = wal_->WriteBatch(sync);
+  lk.lock();
+  sync_in_progress_ = false;
+  sync_cv_.notify_all();
+  if (!st.ok()) return FailLocked(std::move(st));
+  if (sync) {
+    seq_synced_ = std::max(seq_synced_, cover);
+    ++wal_syncs_;
+  }
+  return Status::OK();
+}
+
 Status Engine::SyncCoveringLocked(std::unique_lock<std::mutex>& lk,
                               uint64_t target) {
   while (seq_synced_ < target) {
@@ -612,28 +646,7 @@ Status Engine::SyncCoveringLocked(std::unique_lock<std::mutex>& lk,
       sync_cv_.wait(lk);
       continue;
     }
-    // Become the leader: claim everything appended so far, fsync once for
-    // the whole batch with the commit lock released, and publish. The
-    // vlog head syncs FIRST: a WAL-durable pointer whose value bytes were
-    // lost would dangle (recovery tolerates a dangling *suffix* only
-    // because of this ordering). Segments sealed before the claim were
-    // synced at roll time.
-    sync_in_progress_ = true;
-    const uint64_t cover = seq_appended_;
-    sync_target_ = std::max(sync_target_, cover);
-    VlogFile* vlog_head = vlog_head_;
-    lk.unlock();
-    Status st = vlog_head != nullptr ? vlog_head->Sync() : Status::OK();
-    if (st.ok()) st = wal_->Sync();
-    lk.lock();
-    sync_in_progress_ = false;
-    if (!st.ok()) {
-      sync_cv_.notify_all();
-      return FailLocked(std::move(st));
-    }
-    seq_synced_ = std::max(seq_synced_, cover);
-    ++wal_syncs_;
-    sync_cv_.notify_all();
+    LSMSSD_RETURN_IF_ERROR(WalRoundLocked(lk, /*sync=*/true));
   }
   return Status::OK();
 }
@@ -642,8 +655,8 @@ Status Engine::ForceSyncAllLocked(std::unique_lock<std::mutex>& lk) {
   // At least one unconditional fsync (SyncWal/checkpoint semantics: the
   // sync counter always advances), then loop until — with db_mu_ held
   // continuously since the check — nothing is in flight and everything
-  // appended is covered. At that point the WAL file is stable: safe to
-  // rotate or to hand to a fresh writer.
+  // appended is written and covered. At that point the WAL file is
+  // stable: safe to rotate or to hand to a fresh writer.
   bool synced_once = false;
   for (;;) {
     if (failed()) return FailedStatus();
@@ -652,23 +665,22 @@ Status Engine::ForceSyncAllLocked(std::unique_lock<std::mutex>& lk) {
       continue;
     }
     if (synced_once && seq_synced_ == seq_appended_) return Status::OK();
-    sync_in_progress_ = true;
-    const uint64_t cover = seq_appended_;
-    sync_target_ = std::max(sync_target_, cover);
-    VlogFile* vlog_head = vlog_head_;  // Value bytes before pointers.
-    lk.unlock();
-    Status st = vlog_head != nullptr ? vlog_head->Sync() : Status::OK();
-    if (st.ok()) st = wal_->Sync();
-    lk.lock();
-    sync_in_progress_ = false;
-    if (!st.ok()) {
-      sync_cv_.notify_all();
-      return FailLocked(std::move(st));
-    }
-    seq_synced_ = std::max(seq_synced_, cover);
-    ++wal_syncs_;
+    LSMSSD_RETURN_IF_ERROR(WalRoundLocked(lk, /*sync=*/true));
     synced_once = true;
-    sync_cv_.notify_all();
+  }
+}
+
+Status Engine::FlushWalLocked(std::unique_lock<std::mutex>& lk) {
+  for (;;) {
+    if (failed()) return FailedStatus();
+    if (wal_->pending_bytes() < WalWriter::kMaxPendingBytes) {
+      return Status::OK();
+    }
+    if (sync_in_progress_) {
+      sync_cv_.wait(lk);
+      continue;
+    }
+    return WalRoundLocked(lk, /*sync=*/false);
   }
 }
 
@@ -1338,7 +1350,7 @@ Status Engine::VlogGcSegmentLocked(std::unique_lock<std::mutex>& lk) {
         }
         if (!live) return Status::OK();
         LSMSSD_RETURN_IF_ERROR(
-            ApplyLocked(Record::Put(info.key, value), inner));
+            ApplyLocked(RecordType::kPut, info.key, value, inner));
         ++rewrites;
         return Status::OK();
       },

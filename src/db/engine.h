@@ -33,16 +33,23 @@
 
 namespace lsmssd {
 
-/// When WAL appends are fsynced. An acknowledged modification is
-/// *guaranteed* to survive a crash only once a sync (or a checkpoint)
-/// covering it has succeeded; a crash never leaves a modification
-/// partially visible under any mode.
+/// When WAL appends are written and fsynced. An append only frames the
+/// entry into an in-memory commit buffer; the buffer reaches the file,
+/// with one write(), in a sync round (kEveryN, kAlways, SyncWal, a
+/// checkpoint, Close) or once it holds 64 KiB (WalWriter::
+/// kMaxPendingBytes; the only writes under kNone). An acknowledged
+/// modification is *guaranteed* to survive a crash only once a sync (or
+/// a checkpoint) covering it has succeeded. A process crash loses the
+/// unsynced tail exactly as a host crash does: fewer than N entries
+/// under kEveryN, at most 64 KiB under kNone, nothing under kAlways. A
+/// crash never leaves a modification partially visible under any mode.
 enum class WalSyncMode {
   kNone,    ///< Sync only at checkpoint/close. Fastest; crash may lose
             ///< the acked tail (never tear it).
-  kEveryN,  ///< Group commit: one writer fsyncs once the batch reaches
-            ///< DbOptions::wal_sync_every_n unsynced appends (across all
-            ///< threads), and every waiter it covers is acked together.
+  kEveryN,  ///< Group commit: one writer writes and fsyncs the batch
+            ///< once it reaches DbOptions::wal_sync_every_n unsynced
+            ///< appends (across all threads), and every waiter it covers
+            ///< is acked together.
   kAlways,  ///< Sync before acknowledging every modification.
 };
 
@@ -270,9 +277,10 @@ class Engine {
   static StatusOr<std::unique_ptr<Engine>> Open(const DbOptions& dbopts,
                                                 const std::string& dir);
 
-  /// Joins the maintenance and compaction threads. Idempotent.
+  /// Joins the maintenance and compaction threads, then makes a
+  /// best-effort final WAL sync (unless failed), which writes out the
+  /// commit buffer. Idempotent.
   void Close();
-  /// Close(), then a best-effort final WAL sync (unless failed).
   ~Engine();
 
   Engine(const Engine&) = delete;
@@ -310,7 +318,15 @@ class Engine {
   /// drain when background_compaction is off), group-commit sync per
   /// policy, then trigger/run the auto-checkpoint if the threshold
   /// tripped.
-  Status Apply(const Record& record);
+  Status Apply(RecordType type, Key key, std::string_view payload);
+
+  /// One group-commit round, led by the caller (requires db_mu_ held via
+  /// `lk` and no round in flight): claims every appended entry, then with
+  /// db_mu_ released writes the commit buffer with one write() and, when
+  /// `sync`, syncs the vlog head and fsyncs the WAL. Every WAL write runs
+  /// in such a round, one round at a time, so file order is append
+  /// order. Poisons and returns the error on failure.
+  Status WalRoundLocked(std::unique_lock<std::mutex>& lk, bool sync);
 
   /// Blocks until every entry up to `target` is covered by a successful
   /// fsync, becoming the group-commit leader when no sync is in flight
@@ -325,6 +341,10 @@ class Engine {
   /// appended entry is synced and no sync is in flight — the WAL file is
   /// stable and may be rotated or handed to a new writer.
   Status ForceSyncAllLocked(std::unique_lock<std::mutex>& lk);
+
+  /// Writes the commit buffer out (no fsync) once it holds
+  /// WalWriter::kMaxPendingBytes, waiting out an in-flight round first.
+  Status FlushWalLocked(std::unique_lock<std::mutex>& lk);
 
   /// Serialized checkpoint entry point (waits out a concurrent
   /// checkpoint, then runs one). `lk` must hold db_mu_.
@@ -420,12 +440,13 @@ class Engine {
   /// consult the injector).
   StatusOr<std::shared_ptr<VlogFile>> MakeVlogFile(uint64_t n,
                                                    bool writable) const;
-  /// Appends `record`'s payload to the head vlog segment (rolling it
-  /// first if over vlog_segment_bytes) and rewrites `record` in place to
-  /// carry the 16-byte pointer. Requires db_mu_; runs before the WAL
+  /// Appends `value` to the head vlog segment (rolling it first if over
+  /// vlog_segment_bytes) and sets `*pointer` to the 16-byte pointer the
+  /// WAL and tree carry instead. Requires db_mu_; runs before the WAL
   /// append so a WAL-durable pointer always has vlog bytes behind it
   /// (modulo the sync-ordering window recovery handles).
-  Status VlogAppendLocked(Record* record);
+  Status VlogAppendLocked(Key key, std::string_view value,
+                          std::string* pointer);
   /// Seals the current head segment (fsync, so sealed segments are never
   /// torn) and starts `vlog-<head+1>`. Requires db_mu_.
   Status RollVlogLocked();
@@ -441,9 +462,10 @@ class Engine {
   /// outside the buffer cache, and always in vlog mode. Without it, it
   /// always returns a value.
   std::optional<StatusOr<std::string>> GetImpl(Key key, bool try_only);
-  /// The WAL-append + tree-apply body of Apply (record already in stored
-  /// form); factored out so GC can rewrite entries under its held lock.
-  Status ApplyLocked(const Record& record, std::unique_lock<std::mutex>& lk);
+  /// The WAL-append + tree-apply body of Apply (payload is the user
+  /// value); factored out so GC can rewrite entries under its held lock.
+  Status ApplyLocked(RecordType type, Key key, std::string_view payload,
+                     std::unique_lock<std::mutex>& lk);
   /// GC of one sealed segment: scan it (off-lock; sealed segments are
   /// immutable), re-Put every entry the tree still points at, then
   /// advance the pending tail over it. The segment is only deleted after
@@ -525,7 +547,7 @@ class Engine {
   bool stop_maintenance_ = false;     ///< Tells MaintenanceLoop to exit.
   bool checkpoint_requested_ = false; ///< Writer tripped the threshold.
   bool checkpoint_in_progress_ = false;
-  bool sync_in_progress_ = false;     ///< A group-commit leader is fsyncing.
+  bool sync_in_progress_ = false;     ///< A WAL round (write/fsync) runs.
 
   // Compaction state (under comp_mu_).
   size_t sealed_queued_ = 0;      ///< Sealed memtables awaiting drain.

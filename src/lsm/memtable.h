@@ -69,31 +69,19 @@ class Memtable {
   const_iterator LowerBound(Key key) const { return entries_.lower_bound(key); }
   const_iterator end() const { return entries_.end(); }
 
-  /// Number of mutations so far, counted in debug builds only (always 0
-  /// under NDEBUG): a cursor LSMSSD_DCHECKs that the memtable did not
-  /// change under it.
-  uint64_t mutations() const {
-#ifndef NDEBUG
-    return mutations_;
-#else
-    return 0;
-#endif
-  }
+  /// Number of mutations so far: a cursor LSMSSD_DCHECKs (debug builds)
+  /// that the memtable did not change under it. Counted in every build,
+  /// so the class layout does not depend on NDEBUG.
+  uint64_t mutations() const { return mutations_; }
 
  private:
-  void NoteMutation() {
-#ifndef NDEBUG
-    ++mutations_;
-#endif
-  }
+  void NoteMutation() { ++mutations_; }
 
   // Ordered map gives O(log n) point ops and scan positions; index-based
   // slicing walks iterators (L0 is small — thousands of entries — so this
   // is cheap relative to merge I/O).
   std::map<Key, Record> entries_;
-#ifndef NDEBUG
   uint64_t mutations_ = 0;
-#endif
 };
 
 }  // namespace lsmssd

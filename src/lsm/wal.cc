@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <string_view>
 
 #include "src/util/logging.h"
 
@@ -9,7 +10,7 @@ namespace lsmssd {
 
 namespace {
 
-uint32_t Fnv1a(const std::string& data) {
+uint32_t Fnv1a(std::string_view data) {
   uint32_t h = 2166136261u;
   for (char c : data) {
     h ^= static_cast<uint8_t>(c);
@@ -18,16 +19,12 @@ uint32_t Fnv1a(const std::string& data) {
   return h;
 }
 
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+void EncodeU32(char* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
 }
 
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+void EncodeU64(char* p, uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
 }
 
 uint32_t GetU32(const char* p) {
@@ -51,7 +48,7 @@ uint64_t GetU64(const char* p) {
 /// readable follows the bad frame) from mid-file corruption that still
 /// has intact entries behind it. A false positive needs random bytes to
 /// pass FNV-1a (~2^-32 per offset); only runs on the failure path.
-bool HasValidEntryAfter(const std::string& data, size_t from) {
+bool HasValidEntryAfter(std::string_view data, size_t from) {
   for (size_t p = from; p + 8 + 9 <= data.size(); ++p) {
     const uint32_t length = GetU32(data.data() + p);
     if (length < 9 || length > data.size() - p - 8) continue;
@@ -80,24 +77,50 @@ WalWriter::WalWriter(std::unique_ptr<WalFile> file)
     : file_(std::move(file)) {}
 
 Status WalWriter::Append(const Record& record) {
-  std::string payload;
-  payload.push_back(static_cast<char>(record.type));
-  PutU64(&payload, record.key);
-  payload.append(record.payload);
-
-  std::string entry;
-  PutU32(&entry, static_cast<uint32_t>(payload.size()));
-  PutU32(&entry, Fnv1a(payload));
-  entry += payload;
-  LSMSSD_RETURN_IF_ERROR(file_->Append(entry));
-  ++entries_appended_;
-  bytes_appended_ += entry.size();
-  return Status::OK();
+  Buffer(record.type, record.key, record.payload);
+  if (pending_.size() < kMaxPendingBytes) return Status::OK();
+  SealBatch();
+  return WriteBatch(/*sync=*/false);
 }
 
-Status WalWriter::Sync() { return file_->Sync(); }
+void WalWriter::Buffer(RecordType type, Key key, std::string_view payload) {
+  // Frame in place: [u32 length][u32 FNV-1a][u8 type][u64 key][payload].
+  const size_t start = pending_.size();
+  const size_t length = 9 + payload.size();
+  pending_.resize(start + 8 + length);
+  char* frame = pending_.data() + start;
+  frame[8] = static_cast<char>(type);
+  EncodeU64(frame + 9, key);
+  if (!payload.empty()) payload.copy(frame + 17, payload.size());
+  EncodeU32(frame, static_cast<uint32_t>(length));
+  EncodeU32(frame + 4, Fnv1a(std::string_view(frame + 8, length)));
+  ++entries_appended_;
+  bytes_appended_ += 8 + length;
+}
 
-Status WalWriter::Truncate() { return file_->Truncate(); }
+Status WalWriter::Sync() {
+  SealBatch();
+  return WriteBatch(/*sync=*/true);
+}
+
+void WalWriter::SealBatch() {
+  LSMSSD_CHECK(batch_.empty());
+  pending_.swap(batch_);
+}
+
+Status WalWriter::WriteBatch(bool sync) {
+  Status st = batch_.empty() ? Status::OK() : file_->Append(batch_);
+  // Cleared on failure too: the file's tail is then unknown, and the
+  // caller must treat the log as failed (reopen recovers its prefix).
+  batch_.clear();
+  if (st.ok() && sync) st = file_->Sync();
+  return st;
+}
+
+Status WalWriter::Truncate() {
+  pending_.clear();
+  return file_->Truncate();
+}
 
 StatusOr<std::vector<Record>> WalReader::ReadAll(
     const std::string& path, size_t* valid_bytes,
@@ -119,7 +142,7 @@ StatusOr<std::vector<Record>> WalReader::ReadAll(
     const uint32_t checksum = GetU32(data.data() + pos + 4);
     const bool frame_fits = length >= 9 && pos + 8 + length <= data.size();
     if (!frame_fits ||
-        Fnv1a(data.substr(pos + 8, length)) != checksum) {
+        Fnv1a(std::string_view(data).substr(pos + 8, length)) != checksum) {
       // A bad frame with nothing readable after it is the expected tear
       // from a crash mid-append: drop it. But a bad frame *followed by*
       // well-formed entries is latent corruption of data a sync may

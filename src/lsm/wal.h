@@ -1,9 +1,11 @@
 #ifndef LSMSSD_LSM_WAL_H_
 #define LSMSSD_LSM_WAL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/format/record.h"
@@ -19,7 +21,8 @@ namespace lsmssd {
 /// checkpoint (Manifest) plus a WAL of the modifications since.
 ///
 /// Protocol (run automatically by lsmssd::Db, src/db/db.h):
-///   * append every Put/Delete to the WAL before applying it;
+///   * append every Put/Delete to the WAL before applying it (into the
+///     commit buffer; a sync writes the whole buffer with one write);
 ///   * on checkpoint: Sync() (the durable log must cover every entry the
 ///     manifest includes), SaveManifestToFile(tree, ...), then
 ///     Truncate();
@@ -35,6 +38,11 @@ namespace lsmssd {
 /// suffix of the history reproduces the same final state).
 class WalWriter {
  public:
+  /// Bound on the commit buffer: Append writes the buffered frames to
+  /// the file once they reach this many bytes, so a writer that never
+  /// syncs (the Db's kNone mode) holds at most this much in memory.
+  static constexpr size_t kMaxPendingBytes = size_t{64} << 10;
+
   /// Opens (creating or appending to) the log at `path`.
   static StatusOr<std::unique_ptr<WalWriter>> Open(const std::string& path);
 
@@ -46,25 +54,49 @@ class WalWriter {
   WalWriter& operator=(const WalWriter&) = delete;
 
   /// Appends one logged modification (Put carries the payload; Delete an
-  /// empty one). Durable only after the next successful Sync().
+  /// empty one): frames it into the commit buffer, and writes the buffer
+  /// to the file once it holds kMaxPendingBytes. A buffered entry reaches
+  /// the file at the next Sync (or bound); it is durable only after the
+  /// next successful Sync().
   Status Append(const Record& record);
 
-  /// Makes every appended entry durable.
+  /// Frames one modification into the commit buffer. No I/O.
+  void Buffer(RecordType type, Key key, std::string_view payload);
+
+  /// Writes the commit buffer to the file, then fsyncs: every appended
+  /// entry is durable on success.
   Status Sync();
 
-  /// Empties the log (after a successful checkpoint).
+  /// Drops the commit buffer and empties the log (after a successful
+  /// checkpoint).
   Status Truncate();
+
+  /// Group commit in two halves, for a caller that buffers under its own
+  /// lock and writes with it released (Engine's sync leader):
+  /// SealBatch() moves the commit buffer's frames into the write batch
+  /// and leaves an empty commit buffer; WriteBatch() then writes the
+  /// batch with one write (and fsyncs when `sync`). Buffer() may run
+  /// concurrently with WriteBatch(): they touch different buffers. The
+  /// caller serializes SealBatch/WriteBatch pairs, and SealBatch requires
+  /// the previous batch written. Both buffers keep their capacity.
+  void SealBatch();
+  Status WriteBatch(bool sync);
+
+  /// Framed bytes in the commit buffer (not yet written to the file).
+  size_t pending_bytes() const { return pending_.size(); }
 
   /// Entries appended since this writer was opened.
   uint64_t entries_appended() const { return entries_appended_; }
-  /// Framed bytes appended since this writer was opened (drives
-  /// Db's checkpoint-by-WAL-size threshold).
+  /// Framed bytes appended (buffered or written) since this writer was
+  /// opened (drives Db's checkpoint-by-WAL-size threshold).
   uint64_t bytes_appended() const { return bytes_appended_; }
 
  private:
   explicit WalWriter(std::unique_ptr<WalFile> file);
 
   std::unique_ptr<WalFile> file_;
+  std::string pending_;  ///< Commit buffer: framed, not yet written.
+  std::string batch_;    ///< Sealed frames being written by WriteBatch.
   uint64_t entries_appended_ = 0;
   uint64_t bytes_appended_ = 0;
 };

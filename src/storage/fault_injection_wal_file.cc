@@ -8,14 +8,12 @@ Status FaultInjectionWalFile::Append(std::string_view data) {
     // Crash during append: the bytes never left the process.
     return Status::IoError("injected fault: WAL append");
   }
-  std::lock_guard<std::mutex> lk(mu_);
   buffer_.append(data);
   return Status::OK();
 }
 
 Status FaultInjectionWalFile::Sync() {
   if (injector_->tripped()) return Dead();
-  std::lock_guard<std::mutex> lk(mu_);
   if (injector_->Step()) {
     // Crash during sync: a prefix of the unsynced bytes reaches the file
     // (torn final entry), but the fsync never happens.
@@ -37,7 +35,6 @@ Status FaultInjectionWalFile::Truncate() {
   if (injector_->Step()) {
     return Status::IoError("injected fault: WAL truncate");
   }
-  std::lock_guard<std::mutex> lk(mu_);
   buffer_.clear();
   return base_->Truncate();
 }

@@ -2,7 +2,6 @@
 #define LSMSSD_STORAGE_FAULT_INJECTION_WAL_FILE_H_
 
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "src/storage/fault_injection.h"
@@ -20,10 +19,10 @@ namespace lsmssd {
 ///
 /// Injector steps: one per Append, Sync, and Truncate.
 ///
-/// Thread-safe: a group-commit leader fsyncs with the Db commit lock
-/// released, so Sync runs concurrently with other writers' Appends. A
-/// real fd tolerates that (write vs. fsync); the simulated page cache
-/// needs a mutex around `buffer_`.
+/// Not thread-safe, and need not be: the Db buffers WAL frames in its
+/// own commit buffer (WalWriter) and issues every Append and Sync from
+/// one group-commit round at a time, so Sync never runs concurrently
+/// with Append.
 class FaultInjectionWalFile : public WalFile {
  public:
   /// `injector` must outlive this object.
@@ -36,10 +35,7 @@ class FaultInjectionWalFile : public WalFile {
   Status Truncate() override;
 
   /// Bytes appended since the last successful Sync (lost on a crash).
-  size_t unsynced_bytes() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return buffer_.size();
-  }
+  size_t unsynced_bytes() const { return buffer_.size(); }
 
  private:
   Status Dead() const {
@@ -48,8 +44,7 @@ class FaultInjectionWalFile : public WalFile {
 
   std::unique_ptr<WalFile> base_;
   FaultInjector* injector_;
-  mutable std::mutex mu_;
-  std::string buffer_;  ///< Appended but not yet synced. Guarded by mu_.
+  std::string buffer_;  ///< Appended but not yet synced.
 };
 
 }  // namespace lsmssd

@@ -116,8 +116,7 @@ TEST(MemtableTest, LowerBoundWalksEntriesInKeyOrder) {
   EXPECT_TRUE(m.LowerBound(30)->second.is_tombstone());  // Caller filters.
 }
 
-#ifndef NDEBUG
-TEST(MemtableTest, EveryMutationBumpsTheDebugCounter) {
+TEST(MemtableTest, EveryMutationBumpsTheCounter) {
   Memtable m;
   uint64_t last = m.mutations();
   auto bumped = [&] {
@@ -147,7 +146,6 @@ TEST(MemtableTest, EveryMutationBumpsTheDebugCounter) {
   (void)m.LowerBound(0);
   EXPECT_FALSE(bumped());
 }
-#endif
 
 }  // namespace
 }  // namespace lsmssd

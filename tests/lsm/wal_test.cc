@@ -3,10 +3,14 @@
 #include <unistd.h>
 
 #include <fstream>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/lsm/manifest.h"
+#include "src/storage/fault_injection_wal_file.h"
 #include "tests/test_util.h"
 
 namespace lsmssd {
@@ -18,6 +22,40 @@ using testing::TreeFixture;
 std::string WalPath(const char* tag) {
   return ::testing::TempDir() + "/wal_" + tag + std::to_string(::getpid());
 }
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/// What a RecordingWalFile saw; outlives the file the writer owns.
+struct WalFileLog {
+  std::string bytes;  ///< Everything appended, in order.
+  int appends = 0;
+  int syncs = 0;
+};
+
+/// WalFile that records each call instead of touching a disk.
+class RecordingWalFile : public WalFile {
+ public:
+  explicit RecordingWalFile(WalFileLog* log) : log_(log) {}
+  Status Append(std::string_view data) override {
+    log_->bytes.append(data);
+    ++log_->appends;
+    return Status::OK();
+  }
+  Status Sync() override {
+    ++log_->syncs;
+    return Status::OK();
+  }
+  Status Truncate() override {
+    log_->bytes.clear();
+    return Status::OK();
+  }
+
+ private:
+  WalFileLog* log_;
+};
 
 TEST(WalTest, AppendAndReadBack) {
   const std::string path = WalPath("rt");
@@ -244,6 +282,145 @@ TEST(WalTest, TornTailFuzzEveryBitFlipInFinalEntry) {
       EXPECT_EQ((*records)[1], kKept[1]);
     }
   }
+  ::unlink(path.c_str());
+}
+
+TEST(WalTest, FramesAreByteIdenticalToTheOnDiskFormat) {
+  // Golden bytes, computed from the format spec in wal.h
+  // ([u32 LE length][u32 LE FNV-1a of payload][u8 type][u64 LE key]
+  // [payload]) independently of the encoder, so logs written by any
+  // earlier version keep replaying.
+  const unsigned char kPut[] = {
+      0x0c, 0x00, 0x00, 0x00, 0x67, 0xee, 0x88, 0x00, 0x00, 0x08,
+      0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, 0x68, 0x69, 0x21};
+  const unsigned char kTombstone[] = {0x09, 0x00, 0x00, 0x00, 0x66, 0x6a,
+                                      0x80, 0x23, 0x01, 0x2a, 0x00, 0x00,
+                                      0x00, 0x00, 0x00, 0x00, 0x00};
+  WalFileLog log;
+  auto writer = WalWriter::Wrap(std::make_unique<RecordingWalFile>(&log));
+  ASSERT_TRUE(writer->Append(Record::Put(0x0102030405060708, "hi!")).ok());
+  ASSERT_TRUE(writer->Append(Record::Tombstone(0x2a)).ok());
+  ASSERT_TRUE(writer->Sync().ok());
+  const std::string want =
+      std::string(reinterpret_cast<const char*>(kPut), sizeof(kPut)) +
+      std::string(reinterpret_cast<const char*>(kTombstone),
+                  sizeof(kTombstone));
+  EXPECT_EQ(log.bytes, want);
+  EXPECT_EQ(writer->bytes_appended(), want.size());
+  EXPECT_EQ(writer->entries_appended(), 2u);
+}
+
+TEST(WalTest, TornBatchRecoversExactlyTheWholeFramesBeforeTheTear) {
+  // A group commit writes many frames with one write; a crash can cut
+  // that write at any byte. Recovery must return exactly the frames that
+  // end at or before the cut.
+  const std::string path = WalPath("tornbatch");
+  ::unlink(path.c_str());
+  std::vector<Record> entries;
+  for (Key k = 0; k < 40; ++k) {
+    entries.push_back(k % 5 == 3
+                          ? Record::Tombstone(k)
+                          : Record::Put(k, std::string(k % 7, 'a' + k % 26)));
+  }
+  {
+    auto base = PosixWalFile::Open(path);
+    ASSERT_TRUE(base.ok());
+    auto writer = WalWriter::Wrap(std::move(base).value());
+    for (const Record& r : entries) ASSERT_TRUE(writer->Append(r).ok());
+    EXPECT_EQ(ReadFile(path).size(), 0u);  // Still in the commit buffer.
+    ASSERT_TRUE(writer->Sync().ok());
+  }
+  const std::string data = ReadFile(path);
+  std::vector<size_t> frame_ends;
+  size_t end = 0;
+  for (const Record& r : entries) {
+    end += 8 + 9 + r.payload.size();
+    frame_ends.push_back(end);
+  }
+  ASSERT_EQ(data.size(), end);
+
+  for (size_t cut = 0; cut <= data.size(); ++cut) {
+    SCOPED_TRACE("cut at " + std::to_string(cut));
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(data.data(), static_cast<std::streamsize>(cut));
+    }
+    size_t expect = 0;
+    while (expect < frame_ends.size() && frame_ends[expect] <= cut) ++expect;
+    size_t valid = 0;
+    auto records = WalReader::ReadAll(path, &valid);
+    ASSERT_TRUE(records.ok()) << records.status().ToString();
+    ASSERT_EQ(records->size(), expect);
+    EXPECT_EQ(valid, expect == 0 ? 0 : frame_ends[expect - 1]);
+    for (size_t i = 0; i < expect; ++i) EXPECT_EQ((*records)[i], entries[i]);
+  }
+  ::unlink(path.c_str());
+}
+
+TEST(WalTest, PendingBytesReachTheFileAtTheBoundWithoutSync) {
+  // A writer that never syncs (the Db's kNone mode) holds at most
+  // kMaxPendingBytes in memory: the Append that reaches the bound writes
+  // the whole commit buffer with one write, and no fsync.
+  WalFileLog log;
+  auto writer = WalWriter::Wrap(std::make_unique<RecordingWalFile>(&log));
+  const std::string payload(100, 'p');
+  const size_t frame = 8 + 9 + payload.size();
+  Key k = 0;
+  while (writer->bytes_appended() + frame < WalWriter::kMaxPendingBytes) {
+    ASSERT_TRUE(writer->Append(Record::Put(k++, payload)).ok());
+  }
+  EXPECT_EQ(log.appends, 0);
+  EXPECT_EQ(writer->pending_bytes(), writer->bytes_appended());
+  ASSERT_TRUE(writer->Append(Record::Put(k++, payload)).ok());
+  EXPECT_EQ(log.appends, 1);
+  EXPECT_EQ(log.syncs, 0);
+  EXPECT_EQ(writer->pending_bytes(), 0u);
+  EXPECT_EQ(log.bytes.size(), writer->bytes_appended());
+  EXPECT_GE(log.bytes.size(), WalWriter::kMaxPendingBytes);
+
+  // The next bound-crossing writes only the bytes buffered since.
+  const uint64_t written = log.bytes.size();
+  while (writer->pending_bytes() + frame < WalWriter::kMaxPendingBytes) {
+    ASSERT_TRUE(writer->Append(Record::Put(k++, payload)).ok());
+  }
+  EXPECT_EQ(log.appends, 1);
+  ASSERT_TRUE(writer->Append(Record::Put(k++, payload)).ok());
+  EXPECT_EQ(log.appends, 2);
+  EXPECT_EQ(log.syncs, 0);
+  EXPECT_EQ(log.bytes.size(), writer->bytes_appended());
+  EXPECT_GT(log.bytes.size(), written);
+}
+
+TEST(WalTest, AppendThenSyncWritesAndFsyncs) {
+  // The Append + Sync pair (the perfbench layer replay's calls) writes
+  // the buffered frames and then fsyncs them. The fault-injection file
+  // forwards bytes to its base file only on Sync, so frames in the base
+  // file prove both halves ran, in order.
+  const std::string path = WalPath("appendsync");
+  ::unlink(path.c_str());
+  FaultInjector injector;
+  auto base = PosixWalFile::Open(path);
+  ASSERT_TRUE(base.ok());
+  auto file = std::make_unique<FaultInjectionWalFile>(std::move(base).value(),
+                                                      &injector);
+  FaultInjectionWalFile* fi = file.get();
+  auto writer = WalWriter::Wrap(std::move(file));
+  ASSERT_TRUE(writer->Append(Record::Put(1, "one")).ok());
+  ASSERT_TRUE(writer->Append(Record::Tombstone(2)).ok());
+  EXPECT_EQ(fi->unsynced_bytes(), 0u);  // Not written yet.
+  EXPECT_EQ(injector.steps(), 0u);
+  ASSERT_TRUE(writer->Sync().ok());
+  EXPECT_EQ(injector.steps(), 2u);  // One write, one fsync.
+  EXPECT_EQ(fi->unsynced_bytes(), 0u);
+  auto records = WalReader::ReadAll(path);
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records->size(), 2u);
+  EXPECT_EQ((*records)[0], Record::Put(1, "one"));
+  EXPECT_EQ((*records)[1], Record::Tombstone(2));
+
+  // A Sync with nothing buffered still fsyncs (one step, no write).
+  ASSERT_TRUE(writer->Sync().ok());
+  EXPECT_EQ(injector.steps(), 3u);
   ::unlink(path.c_str());
 }
 
