@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark) of the hot primitives underneath the
 // merge engine: block encode/decode, memtable ops, leaf-directory lookup,
 // the ChooseBest metadata scan, the LRU cache, a short range scan
-// through a Db iterator, and the write path's WAL append and group-commit
-// Put. These quantify the CPU overhead that Section V
+// through a Db iterator, and the write path's WAL append, WAL replay and
+// group-commit Put (with and without the value log). These quantify the CPU overhead that Section V
 // reports as 2%-16% of total request time.
 
 #include <benchmark/benchmark.h>
@@ -331,6 +331,37 @@ void BM_WalWriterAppend(benchmark::State& state) {
 }
 BENCHMARK(BM_WalWriterAppend);
 
+void BM_WalReadAll(benchmark::State& state) {
+  // WalReader::ReadAll of an 8 MiB log of 40-byte Puts in batches of 64
+  // (one batch per sync round under kEveryN, N = 64): the replay half of
+  // recovery, from the read of the file to the decoded records.
+  const std::string dir = FreshBenchDir("walread");
+  const std::string path = dir + "/wal.log";
+  size_t entries = 0;
+  {
+    auto writer_or = WalWriter::Open(path);
+    LSMSSD_CHECK(writer_or.ok()) << writer_or.status().ToString();
+    WalWriter& wal = *writer_or.value();
+    Record record = Record::Put(1, std::string(40, 'x'));
+    while (wal.bytes_appended() < (8u << 20)) {
+      LSMSSD_CHECK(wal.Append(record).ok());
+      record.key = record.key * 2654435761u % 4'000'000'000u + 1;
+      if (++entries % 64 == 0) LSMSSD_CHECK(wal.Sync().ok());
+    }
+    LSMSSD_CHECK(wal.Sync().ok());
+  }
+  for (auto _ : state) {
+    auto records = WalReader::ReadAll(path);
+    LSMSSD_CHECK(records.ok() && records.value().size() == entries);
+    benchmark::DoNotOptimize(records.value().data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(entries));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(std::filesystem::file_size(path)));
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_WalReadAll)->Unit(benchmark::kMillisecond);
+
 void BM_DbPutEveryN(benchmark::State& state) {
   // One Db::Put from one thread under group commit (kEveryN, N = 64):
   // the commit path alone — the WAL append, the memtable apply, and one
@@ -365,6 +396,44 @@ void BM_DbPutEveryN(benchmark::State& state) {
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_DbPutEveryN);
+
+void BM_DbPutVlog(benchmark::State& state) {
+  // BM_DbPutEveryN with key–value separation on: each Put also appends
+  // its value to the vlog head (one write() per Put) and logs a 16-byte
+  // pointer. Arg = value bytes (40: the repository benchmark's payload;
+  // 1,015: the crossover bench's largest). Same 512 keys and N = 64; the
+  // segment size is large enough that no Put rolls a segment or runs GC.
+  DbOptions dbopts;
+  Options& options = dbopts.options;
+  options.block_size = 1024;
+  options.key_size = 4;
+  options.payload_size = static_cast<size_t>(state.range(0));
+  options.level0_capacity_blocks = 25;
+  options.gamma = 10.0;
+  options.delta = 0.07;
+  options.cache_blocks = 1024;
+  options.bloom_bits_per_key = 10;
+  options.vlog_value_threshold = 17;
+  dbopts.wal_sync_mode = WalSyncMode::kEveryN;
+  dbopts.wal_sync_every_n = 64;
+  dbopts.vlog_segment_bytes = uint64_t{1} << 40;
+  dbopts.vlog_gc_ratio = 0;
+  const std::string dir = FreshBenchDir("putvlog");
+  auto db_or = Db::Open(dbopts, dir);
+  LSMSSD_CHECK(db_or.ok()) << db_or.status().ToString();
+  Db& db = *db_or.value();
+  const std::string payload(options.payload_size, 'x');
+  Random rng(19);
+  for (auto _ : state) {
+    LSMSSD_CHECK(db.Put(rng.Uniform(512) + 1, payload).ok());
+  }
+  state.SetItemsProcessed(state.iterations());
+  LSMSSD_CHECK_EQ(db.Stats().memtables_sealed, 0u);
+  db.Close();
+  db_or.value().reset();
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_DbPutVlog)->Arg(40)->Arg(1015);
 
 void BM_ChooseBestScan(benchmark::State& state) {
   // The paper's Section III-C CPU overhead: one simultaneous metadata scan

@@ -129,10 +129,12 @@ Status ValidateOptions(const DbOptions& dbopts) {
     return Status::InvalidArgument("vlog_segment_bytes must be > 0");
   }
   if (dbopts.checkpoint_wal_bytes > 0) {
-    // Framed WAL entry: [u32 length][u32 crc][u8 type][u64 key][payload].
-    // In vlog mode the WAL carries the 16-byte pointer, not the value.
+    // A lower bound on a WAL batch of one entry (kAlways writes one per
+    // op): 8-byte batch header, tag, up to 8 key bytes, the payload (its
+    // varint length not counted). In vlog mode the WAL carries the
+    // 16-byte pointer, not the value.
     const uint64_t max_entry_bytes =
-        4 + 4 + 1 + 8 + dbopts.options.stored_payload_size();
+        8 + 1 + 8 + dbopts.options.stored_payload_size();
     if (dbopts.checkpoint_wal_bytes < 2 * max_entry_bytes) {
       return Status::InvalidArgument(
           "checkpoint_wal_bytes=" + std::to_string(dbopts.checkpoint_wal_bytes) +

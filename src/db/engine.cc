@@ -126,6 +126,12 @@ StatusOr<std::unique_ptr<Engine>> Engine::Open(const DbOptions& dbopts,
   const std::string manifest_path = Db::ManifestPath(dir);
   const bool have_manifest = FileExists(manifest_path);
   const std::vector<std::string> wal_segments = Db::ListWalSegments(dir);
+  // A log in another format is refused before anything is touched: no
+  // file of the directory changes on the way to that error.
+  for (const std::string& path : wal_segments) {
+    LSMSSD_RETURN_IF_ERROR(WalReader::CheckHeader(path));
+  }
+  LSMSSD_RETURN_IF_ERROR(WalReader::CheckHeader(Db::WalPath(dir)));
   // A leftover MANIFEST.tmp is a checkpoint that crashed before its
   // rename; the previous MANIFEST is still the durable truth.
   (void)::unlink(Db::ManifestTmpPath(dir).c_str());
@@ -233,11 +239,7 @@ StatusOr<std::unique_ptr<Engine>> Engine::Open(const DbOptions& dbopts,
     if (ptr.file < vm.tail_file) return false;
     auto it = vlog_sizes.find(ptr.file);
     const uint64_t size = it == vlog_sizes.end() ? 0 : it->second;
-    const uint64_t end = ptr.offset + vlog::kEntryHeaderSize + ptr.length;
-    if (end > size) return true;
-    uint64_t& f = vlog_frontier[ptr.file];
-    f = std::max(f, end);
-    return false;
+    return ptr.offset + vlog::kEntryHeaderSize + ptr.length > size;
   };
 
   // Replay the WAL on top of the checkpoint, oldest first: rotated
@@ -247,11 +249,19 @@ StatusOr<std::unique_ptr<Engine>> Engine::Open(const DbOptions& dbopts,
   // (crash between manifest rename and segment unlink). Each entry is
   // applied like a commit and drained like an inline writer, in either
   // mode: the compaction thread starts only after recovery.
-  auto replay_records = [&engine](const std::vector<Record>& records,
-                                  size_t limit) -> Status {
+  // A replayed pointer at or above the manifest tail extends the durable
+  // frontier of its segment (checked by vlog_dangles before replay).
+  auto replay_records = [&](const std::vector<Record>& records,
+                            size_t limit) -> Status {
     LsmTree* tree = engine->tree_.get();
     for (size_t i = 0; i < limit; ++i) {
       const Record& r = records[i];
+      VlogPointer ptr;
+      if (engine->vlog_on_ && !r.is_tombstone() &&
+          DecodeVlogPointer(r.payload, &ptr) && ptr.file >= vm.tail_file) {
+        uint64_t& f = vlog_frontier[ptr.file];
+        f = std::max(f, ptr.offset + vlog::kEntryHeaderSize + ptr.length);
+      }
       Status st = r.is_tombstone() ? tree->DeleteNoMerge(r.key)
                                    : tree->PutNoMerge(r.key, r.payload);
       if (st.IsInvalidArgument()) {
@@ -298,14 +308,20 @@ StatusOr<std::unique_ptr<Engine>> Engine::Open(const DbOptions& dbopts,
   auto replay_or = WalReader::ReadAll(wal_path, &wal_valid_bytes,
                                       &wal_entry_offsets);
   if (!replay_or.ok()) return replay_or.status();
-  // Active log: cut at the first dangling pointer (suffix drop — all
-  // acked-durable entries had their vlog bytes synced first, so only an
-  // unacknowledged tail can dangle).
+  // Active log: cut at the start of the batch holding the first dangling
+  // pointer (suffix drop — all acked-durable entries had their vlog bytes
+  // synced first, so only an unacknowledged tail can dangle). A batch
+  // replays whole or not at all, so the entries before the dangling one
+  // in its batch are cut too; no sync acknowledged any of them.
   size_t wal_keep = replay_or.value().size();
   for (size_t i = 0; i < replay_or.value().size(); ++i) {
     if (vlog_dangles(replay_or.value()[i])) {
-      wal_keep = i;
       wal_valid_bytes = wal_entry_offsets[i];
+      wal_keep = i;
+      while (wal_keep > 0 &&
+             wal_entry_offsets[wal_keep - 1] == wal_valid_bytes) {
+        --wal_keep;
+      }
       break;
     }
   }
@@ -477,18 +493,19 @@ Status Engine::ApplyLocked(RecordType type, Key key, std::string_view payload,
   }
 
   // Key–value separation: move the value into the log first and commit a
-  // 16-byte pointer instead — the WAL frame, memtable, and every block
+  // 16-byte pointer instead — the WAL entry, memtable, and every block
   // the record ever occupies carry the pointer, so merges move O(pointer)
   // bytes per record no matter how large the value.
-  std::string pointer;
+  char pointer[kVlogPointerSize];
   if (vlog_on_ && type == RecordType::kPut) {
-    LSMSSD_RETURN_IF_ERROR(VlogAppendLocked(key, payload, &pointer));
-    payload = pointer;
+    LSMSSD_RETURN_IF_ERROR(VlogAppendLocked(key, payload, pointer));
+    payload = std::string_view(pointer, kVlogPointerSize);
   }
 
   // Append + apply under one continuous db_mu_ hold, so tree apply order
   // is exactly WAL append order (recovery replays the same sequence). The
-  // append only frames the entry into the commit buffer; the file write
+  // append only encodes the entry into the commit buffer (no checksum:
+  // the round's WriteBatch computes it off the lock); the file write
   // happens in a group-commit round (SyncCoveringLocked and friends).
   const uint64_t bytes_before = wal_->bytes_appended();
   wal_->Buffer(type, key, payload);
@@ -572,21 +589,21 @@ Status Engine::ApplyLocked(RecordType type, Key key, std::string_view payload,
 }
 
 Status Engine::VlogAppendLocked(Key key, std::string_view value,
-                                std::string* pointer) {
+                                char* pointer) {
   if (vlog_head_offset_ >= dbopts_.vlog_segment_bytes) {
     LSMSSD_RETURN_IF_ERROR(RollVlogLocked());
   }
-  const std::string entry = vlog::EncodeEntry(key, value);
-  if (Status st = vlog_head_->Append(entry); !st.ok()) {
+  vlog::EncodeEntry(key, value, &vlog_entry_);
+  if (Status st = vlog_head_->Append(vlog_entry_); !st.ok()) {
     return FailLocked(std::move(st));
   }
   VlogPointer ptr;
   ptr.file = static_cast<uint32_t>(vlog_head_file_);
   ptr.offset = vlog_head_offset_;
   ptr.length = static_cast<uint32_t>(value.size());
-  vlog_head_offset_ += entry.size();
-  vlog_bytes_appended_ += entry.size();
-  *pointer = EncodeVlogPointerToString(ptr);
+  vlog_head_offset_ += vlog_entry_.size();
+  vlog_bytes_appended_ += vlog_entry_.size();
+  EncodeVlogPointer(ptr, pointer);
   return Status::OK();
 }
 

@@ -33,9 +33,9 @@
 
 namespace lsmssd {
 
-/// When WAL appends are written and fsynced. An append only frames the
-/// entry into an in-memory commit buffer; the buffer reaches the file,
-/// with one write(), in a sync round (kEveryN, kAlways, SyncWal, a
+/// When WAL appends are written and fsynced. An append only encodes the
+/// entry into an in-memory commit buffer; the buffer reaches the file as
+/// one checksummed batch, with one write(), in a sync round (kEveryN, kAlways, SyncWal, a
 /// checkpoint, Close) or once it holds 64 KiB (WalWriter::
 /// kMaxPendingBytes; the only writes under kNone). An acknowledged
 /// modification is *guaranteed* to survive a crash only once a sync (or
@@ -88,7 +88,7 @@ struct DbOptions {
   /// (rotated segments + active log) exceeds this many bytes. 0 disables
   /// automatic checkpoints (call Db::Checkpoint() manually). Must
   /// otherwise be large enough that checkpoints cannot fire on every
-  /// single modification (>= two framed entries); Open rejects smaller
+  /// single modification (>= two logged entries); Open rejects smaller
   /// values.
   uint64_t checkpoint_wal_bytes = 8ull << 20;
 
@@ -181,7 +181,7 @@ struct DbOptions {
 struct DbStats {
   IoStats io;  ///< Physical device accounting (incl. cache/bloom counters).
   uint64_t wal_entries_appended = 0;  ///< Since this Db was opened.
-  uint64_t wal_bytes_appended = 0;    ///< Framed bytes, since open.
+  uint64_t wal_bytes_appended = 0;    ///< Log file bytes, since open.
   uint64_t wal_syncs = 0;             ///< Successful explicit WAL fsyncs.
   uint64_t checkpoints = 0;           ///< Checkpoints taken since open.
   uint64_t recovery_wal_entries_replayed = 0;  ///< Replayed during Open.
@@ -441,12 +441,11 @@ class Engine {
   StatusOr<std::shared_ptr<VlogFile>> MakeVlogFile(uint64_t n,
                                                    bool writable) const;
   /// Appends `value` to the head vlog segment (rolling it first if over
-  /// vlog_segment_bytes) and sets `*pointer` to the 16-byte pointer the
-  /// WAL and tree carry instead. Requires db_mu_; runs before the WAL
-  /// append so a WAL-durable pointer always has vlog bytes behind it
-  /// (modulo the sync-ordering window recovery handles).
-  Status VlogAppendLocked(Key key, std::string_view value,
-                          std::string* pointer);
+  /// vlog_segment_bytes) and writes the 16-byte pointer the WAL and tree
+  /// carry instead to `pointer[0, kVlogPointerSize)`. Requires db_mu_;
+  /// runs before the WAL append so a WAL-durable pointer always has vlog
+  /// bytes behind it (modulo the sync-ordering window recovery handles).
+  Status VlogAppendLocked(Key key, std::string_view value, char* pointer);
   /// Seals the current head segment (fsync, so sealed segments are never
   /// torn) and starts `vlog-<head+1>`. Requires db_mu_.
   Status RollVlogLocked();
@@ -576,7 +575,9 @@ class Engine {
   uint64_t sync_target_ = 0;   ///< Entries covered once the in-flight
                                ///< fsync completes (kEveryN batching).
 
-  uint64_t wal_bytes_total_ = 0;  ///< Framed bytes appended since open.
+  /// Log file bytes appended since open: entries, batch headers and
+  /// file headers.
+  uint64_t wal_bytes_total_ = 0;
   uint64_t wal_syncs_ = 0;
   uint64_t checkpoints_ = 0;
   uint64_t recovery_replayed_ = 0;
@@ -602,6 +603,7 @@ class Engine {
   uint64_t vlog_tail_file_ = 0;       ///< Manifest-published tail.
   uint64_t vlog_pending_tail_ = 0;    ///< GC-advanced, awaiting publish.
   VlogFile* vlog_head_ = nullptr;     ///< Borrowed from vlog_files_.
+  std::string vlog_entry_;            ///< Reused entry encode buffer.
   uint64_t vlog_bytes_appended_ = 0;
   uint64_t vlog_gc_rewrites_ = 0;
   uint64_t vlog_segments_reclaimed_ = 0;

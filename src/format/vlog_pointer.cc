@@ -3,14 +3,6 @@
 namespace lsmssd {
 namespace {
 
-void PutU32(uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64(uint64_t v, std::string* out) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
 uint32_t GetU32(const unsigned char* p) {
   uint32_t v = 0;
   for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
@@ -25,17 +17,20 @@ uint64_t GetU64(const unsigned char* p) {
 
 }  // namespace
 
-void EncodeVlogPointer(const VlogPointer& ptr, std::string* out) {
-  out->reserve(out->size() + kVlogPointerSize);
-  PutU32(ptr.file, out);
-  PutU64(ptr.offset, out);
-  PutU32(ptr.length, out);
+void EncodeVlogPointer(const VlogPointer& ptr, char* out) {
+  for (int i = 0; i < 4; ++i) out[i] = static_cast<char>(ptr.file >> (8 * i));
+  for (int i = 0; i < 8; ++i) {
+    out[4 + i] = static_cast<char>(ptr.offset >> (8 * i));
+  }
+  for (int i = 0; i < 4; ++i) {
+    out[12 + i] = static_cast<char>(ptr.length >> (8 * i));
+  }
 }
 
 std::string EncodeVlogPointerToString(const VlogPointer& ptr) {
-  std::string out;
-  EncodeVlogPointer(ptr, &out);
-  return out;
+  char buf[kVlogPointerSize];
+  EncodeVlogPointer(ptr, buf);
+  return std::string(buf, kVlogPointerSize);
 }
 
 bool DecodeVlogPointer(std::string_view data, VlogPointer* ptr) {

@@ -30,8 +30,8 @@ struct VlogPointer {
   }
 };
 
-/// Appends the 16-byte encoding of `ptr` to `out`.
-void EncodeVlogPointer(const VlogPointer& ptr, std::string* out);
+/// Writes the 16-byte encoding of `ptr` to `out[0, kVlogPointerSize)`.
+void EncodeVlogPointer(const VlogPointer& ptr, char* out);
 
 /// Returns the 16-byte encoding of `ptr`.
 std::string EncodeVlogPointerToString(const VlogPointer& ptr);

@@ -1,30 +1,30 @@
 #include "src/lsm/wal.h"
 
-#include <cstdio>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <cstring>
 #include <memory>
 #include <string_view>
 
+#include "src/util/crc32c.h"
 #include "src/util/logging.h"
 
 namespace lsmssd {
 
 namespace {
 
-uint32_t Fnv1a(std::string_view data) {
-  uint32_t h = 2166136261u;
-  for (char c : data) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 16777619u;
-  }
-  return h;
-}
+constexpr char kFileHeader[] = {'L', 'S', 'M', 'W', 'A', 'L', 0x02, 0x00};
+constexpr size_t kFileHeaderSize = sizeof(kFileHeader);
+constexpr size_t kBatchHeaderSize = 8;
+/// Smallest entry: a tag (key width 0) and a one-byte payload length.
+constexpr size_t kMinEntrySize = 2;
 
 void EncodeU32(char* p, uint32_t v) {
   for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-void EncodeU64(char* p, uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
 }
 
 uint32_t GetU32(const char* p) {
@@ -35,28 +35,111 @@ uint32_t GetU32(const char* p) {
   return v;
 }
 
-uint64_t GetU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  return v;
+/// CRC32C over a batch's length field and body (`length` bytes after the
+/// 8-byte header at `header`).
+uint32_t BatchCrc(const char* header, size_t length) {
+  const auto* p = reinterpret_cast<const uint8_t*>(header);
+  return crc32c::Extend(crc32c::Value(p, 4), p + kBatchHeaderSize, length);
 }
 
-/// True when any offset in [from, data.size()) starts a complete,
-/// checksum-valid WAL frame. Distinguishes a benign torn tail (nothing
-/// readable follows the bad frame) from mid-file corruption that still
-/// has intact entries behind it. A false positive needs random bytes to
-/// pass FNV-1a (~2^-32 per offset); only runs on the failure path.
-bool HasValidEntryAfter(std::string_view data, size_t from) {
-  for (size_t p = from; p + 8 + 9 <= data.size(); ++p) {
-    const uint32_t length = GetU32(data.data() + p);
-    if (length < 9 || length > data.size() - p - 8) continue;
-    if (Fnv1a(data.substr(p + 8, length)) == GetU32(data.data() + p + 4)) {
-      return true;
-    }
+/// Bytes of `key` with its leading zero bytes dropped (0 for key 0).
+int KeyWidth(Key key) {
+  return key == 0 ? 0 : (64 - __builtin_clzll(key) + 7) / 8;
+}
+
+/// Header status of `data`, the whole log or its first bytes: OK with
+/// `*complete` set when it starts with the v2 header, OK with it cleared
+/// when it is empty or a prefix of the header (a crash during the first
+/// write), and Corruption otherwise.
+Status CheckFileHeader(std::string_view data, const std::string& path,
+                       bool* complete) {
+  const size_t n = std::min(data.size(), kFileHeaderSize);
+  if (std::memcmp(data.data(), kFileHeader, n) != 0) {
+    return Status::Corruption(
+        "WAL " + path +
+        " lacks the v2 batch-format header (a log in the older per-entry "
+        "format?); refusing to replay or truncate it");
+  }
+  *complete = n == kFileHeaderSize;
+  return Status::OK();
+}
+
+/// Body length of the batch at `pos` when it is whole and checksum-valid,
+/// else 0.
+size_t ValidBatchLength(std::string_view data, size_t pos) {
+  if (data.size() - pos < kBatchHeaderSize) return 0;
+  const uint32_t length = GetU32(data.data() + pos);
+  if (length < kMinEntrySize ||
+      length > data.size() - pos - kBatchHeaderSize) {
+    return 0;
+  }
+  if (BatchCrc(data.data() + pos, length) != GetU32(data.data() + pos + 4)) {
+    return 0;
+  }
+  return length;
+}
+
+/// True when any offset in [from, data.size()) starts a whole,
+/// checksum-valid batch. Distinguishes a benign torn tail (nothing
+/// readable follows the bad batch) from mid-file corruption that still
+/// has intact batches behind it. A false positive needs random bytes to
+/// pass CRC32C (~2^-32 per offset); only runs on the failure path.
+bool HasValidBatchAfter(std::string_view data, size_t from) {
+  for (size_t p = from; p < data.size(); ++p) {
+    if (ValidBatchLength(data, p) != 0) return true;
   }
   return false;
+}
+
+/// Appends the entries of one checksum-valid batch body to `records`.
+/// False when the body does not parse: the log lied about its contents.
+bool DecodeBatch(std::string_view body, std::vector<Record>* records) {
+  size_t p = 0;
+  while (p < body.size()) {
+    const auto tag = static_cast<uint8_t>(body[p++]);
+    const int width = tag & 0x0f;
+    const int type = tag >> 4;
+    if (width > 8 || type > static_cast<int>(RecordType::kDelete) ||
+        body.size() - p < static_cast<size_t>(width)) {
+      return false;
+    }
+    Key key = 0;
+    for (int i = 0; i < width; ++i) {
+      key = (key << 8) | static_cast<uint8_t>(body[p++]);
+    }
+    uint64_t length = 0;
+    for (int shift = 0;; shift += 7) {
+      if (p == body.size() || shift > 28) return false;
+      const auto byte = static_cast<uint8_t>(body[p++]);
+      length |= static_cast<uint64_t>(byte & 0x7f) << shift;
+      if ((byte & 0x80) == 0) break;
+    }
+    if (body.size() - p < length) return false;
+    Record& record = records->emplace_back();
+    record.type = static_cast<RecordType>(type);
+    record.key = key;
+    record.payload.assign(body.data() + p, length);
+    p += length;
+  }
+  return true;
+}
+
+/// Reads the whole file at `path` into `data`. False when it does not
+/// exist (or cannot be read): nothing to replay.
+bool ReadFile(const std::string& path, std::string* data) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  struct ::stat st;
+  if (::fstat(fd, &st) == 0) data->reserve(static_cast<size_t>(st.st_size));
+  char buf[64 * 1024];
+  for (;;) {
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    data->append(buf, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  return true;
 }
 
 }  // namespace
@@ -74,7 +157,7 @@ std::unique_ptr<WalWriter> WalWriter::Wrap(std::unique_ptr<WalFile> file) {
 }
 
 WalWriter::WalWriter(std::unique_ptr<WalFile> file)
-    : file_(std::move(file)) {}
+    : file_(std::move(file)), needs_file_header_(file_->size() == 0) {}
 
 Status WalWriter::Append(const Record& record) {
   Buffer(record.type, record.key, record.payload);
@@ -84,18 +167,34 @@ Status WalWriter::Append(const Record& record) {
 }
 
 void WalWriter::Buffer(RecordType type, Key key, std::string_view payload) {
-  // Frame in place: [u32 length][u32 FNV-1a][u8 type][u64 key][payload].
   const size_t start = pending_.size();
-  const size_t length = 9 + payload.size();
-  pending_.resize(start + 8 + length);
-  char* frame = pending_.data() + start;
-  frame[8] = static_cast<char>(type);
-  EncodeU64(frame + 9, key);
-  if (!payload.empty()) payload.copy(frame + 17, payload.size());
-  EncodeU32(frame, static_cast<uint32_t>(length));
-  EncodeU32(frame + 4, Fnv1a(std::string_view(frame + 8, length)));
+  if (open_batch_ == kNoBatch) {
+    if (needs_file_header_) {
+      pending_.append(kFileHeader, kFileHeaderSize);
+      needs_file_header_ = false;
+    }
+    // The header is filled in by WriteBatch, off the commit lock.
+    open_batch_ = pending_.size();
+    pending_.append(kBatchHeaderSize, '\0');
+  }
+  // [u8 tag][key, big-endian, leading zeros dropped][varint length].
+  char head[1 + 8 + 5];
+  const int width = KeyWidth(key);
+  size_t n = 0;
+  head[n++] = static_cast<char>((static_cast<int>(type) << 4) | width);
+  for (int i = width - 1; i >= 0; --i) {
+    head[n++] = static_cast<char>((key >> (8 * i)) & 0xff);
+  }
+  uint32_t length = static_cast<uint32_t>(payload.size());
+  while (length >= 0x80) {
+    head[n++] = static_cast<char>((length & 0x7f) | 0x80);
+    length >>= 7;
+  }
+  head[n++] = static_cast<char>(length);
+  pending_.append(head, n);
+  pending_.append(payload);
   ++entries_appended_;
-  bytes_appended_ += 8 + length;
+  bytes_appended_ += pending_.size() - start;
 }
 
 Status WalWriter::Sync() {
@@ -106,19 +205,31 @@ Status WalWriter::Sync() {
 void WalWriter::SealBatch() {
   LSMSSD_CHECK(batch_.empty());
   pending_.swap(batch_);
+  sealed_batch_ = open_batch_;
+  open_batch_ = kNoBatch;
 }
 
 Status WalWriter::WriteBatch(bool sync) {
-  Status st = batch_.empty() ? Status::OK() : file_->Append(batch_);
+  Status st;
+  if (!batch_.empty()) {
+    char* header = batch_.data() + sealed_batch_;
+    const size_t length = batch_.size() - sealed_batch_ - kBatchHeaderSize;
+    EncodeU32(header, static_cast<uint32_t>(length));
+    EncodeU32(header + 4, BatchCrc(header, length));
+    st = file_->Append(batch_);
+  }
   // Cleared on failure too: the file's tail is then unknown, and the
   // caller must treat the log as failed (reopen recovers its prefix).
   batch_.clear();
+  sealed_batch_ = kNoBatch;
   if (st.ok() && sync) st = file_->Sync();
   return st;
 }
 
 Status WalWriter::Truncate() {
   pending_.clear();
+  open_batch_ = kNoBatch;
+  needs_file_header_ = true;
   return file_->Truncate();
 }
 
@@ -127,49 +238,61 @@ StatusOr<std::vector<Record>> WalReader::ReadAll(
     std::vector<size_t>* entry_offsets) {
   if (valid_bytes != nullptr) *valid_bytes = 0;
   if (entry_offsets != nullptr) entry_offsets->clear();
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return std::vector<Record>{};  // Nothing to replay.
   std::string data;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) data.append(buf, n);
-  std::fclose(f);
+  if (!ReadFile(path, &data)) return std::vector<Record>{};
 
+  bool have_header = false;
+  LSMSSD_RETURN_IF_ERROR(CheckFileHeader(data, path, &have_header));
   std::vector<Record> records;
-  size_t pos = 0;
-  while (pos + 8 <= data.size()) {
-    const uint32_t length = GetU32(data.data() + pos);
-    const uint32_t checksum = GetU32(data.data() + pos + 4);
-    const bool frame_fits = length >= 9 && pos + 8 + length <= data.size();
-    if (!frame_fits ||
-        Fnv1a(std::string_view(data).substr(pos + 8, length)) != checksum) {
-      // A bad frame with nothing readable after it is the expected tear
-      // from a crash mid-append: drop it. But a bad frame *followed by*
-      // well-formed entries is latent corruption of data a sync may
-      // have acknowledged — truncating here would silently discard
-      // those durable entries, so refuse instead of guessing.
-      if (HasValidEntryAfter(data, pos + 1)) {
+  if (!have_header) return records;  // Empty, or a torn first write.
+  size_t pos = kFileHeaderSize;
+  while (pos < data.size()) {
+    const size_t length = ValidBatchLength(data, pos);
+    if (length == 0) {
+      // A bad batch with nothing readable after it is the expected tear
+      // from a crash mid-write: drop it. But a bad batch *followed by* a
+      // well-formed one is latent corruption of data a sync may have
+      // acknowledged — truncating here would silently discard those
+      // durable batches, so refuse instead of guessing.
+      if (HasValidBatchAfter(data, pos + 1)) {
         return Status::Corruption(
-            "WAL entry at offset " + std::to_string(pos) +
-            " is corrupt but followed by well-formed entries");
+            "WAL batch at offset " + std::to_string(pos) + " of " + path +
+            " is corrupt but followed by well-formed batches");
       }
       break;  // Torn tail.
     }
-    const std::string payload = data.substr(pos + 8, length);
-    Record record;
-    const auto type = static_cast<uint8_t>(payload[0]);
-    if (type > static_cast<uint8_t>(RecordType::kDelete)) {
-      return Status::Corruption("WAL entry with unknown record type");
+    const size_t first = records.size();
+    if (!DecodeBatch(std::string_view(data).substr(pos + kBatchHeaderSize,
+                                                   length),
+                     &records)) {
+      return Status::Corruption("WAL batch at offset " + std::to_string(pos) +
+                                " of " + path + " has a malformed entry");
     }
-    record.type = static_cast<RecordType>(type);
-    record.key = GetU64(payload.data() + 1);
-    record.payload = payload.substr(9);
-    records.push_back(std::move(record));
-    if (entry_offsets != nullptr) entry_offsets->push_back(pos);
-    pos += 8 + length;
+    if (entry_offsets != nullptr) {
+      entry_offsets->insert(entry_offsets->end(), records.size() - first, pos);
+    }
+    pos += kBatchHeaderSize + length;
   }
   if (valid_bytes != nullptr) *valid_bytes = pos;
   return records;
+}
+
+Status WalReader::CheckHeader(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::OK();  // Nothing to replay.
+  char buf[kFileHeaderSize];
+  ssize_t n;
+  do {
+    n = ::pread(fd, buf, sizeof(buf), 0);
+  } while (n < 0 && errno == EINTR);
+  ::close(fd);
+  if (n < 0) {
+    return Status::IoError("read WAL header of " + path + ": " +
+                           std::strerror(errno));
+  }
+  bool complete = false;
+  return CheckFileHeader(std::string_view(buf, static_cast<size_t>(n)), path,
+                         &complete);
 }
 
 }  // namespace lsmssd

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -19,6 +20,8 @@ namespace lsmssd::net {
 
 namespace {
 constexpr int kMaxUnsentKernelBytes = 128 << 10;
+/// Most SCAN items a response body reserves room for up front.
+constexpr size_t kScanReserveItems = 256;
 
 Status ErrnoStatus(const std::string& what, int err) {
   return Status::IoError(what + ": " + std::strerror(err));
@@ -333,13 +336,16 @@ void Server::HandleReadable(const std::shared_ptr<Connection>& conn) {
   char buf[64 * 1024];
   // Inline answers make parsing cost Db work, so one readiness event
   // reads a bounded amount; epoll is level-triggered and reports the
-  // rest on its next pass, after the other ready connections.
+  // rest on its next pass, after the other ready connections. A short
+  // read drained the socket: another recv would only return EAGAIN, and
+  // data or EOF that arrives later raises a new readiness event.
   for (int reads = 0; reads < 4 && !conn->dead && conn->epollin_armed;
        ++reads) {
     const ssize_t n = recv(conn->fd, buf, sizeof(buf), MSG_DONTWAIT);
     if (n > 0) {
       conn->inbuf.append(buf, static_cast<size_t>(n));
       ParseFrames(conn);
+      if (static_cast<size_t>(n) < sizeof(buf)) break;
       continue;
     }
     if (n == 0) {
@@ -768,11 +774,19 @@ std::optional<std::string> Server::HandleRequest(const Frame& frame,
             Status::FailedPrecondition("db is in a failed state"));
         break;
       }
-      // Stream each item from the iterator straight into the body.
+      // Stream each item from the iterator straight into the body,
+      // reserved from the item cap once the first value gives the item
+      // size (values are fixed-width) — bounded so a huge cap with few
+      // matches does not reserve megabytes.
       const size_t count_offset = BeginScanResponse(&body);
       uint32_t count = 0;
       for (it->Seek(lo); it->Valid() && it->key() <= hi && count < cap;
            it->Next()) {
+        if (count == 0) {
+          const size_t item = kScanItemHeaderBytes + it->value().size();
+          body.reserve(body.size() +
+                       std::min<size_t>(cap, kScanReserveItems) * item);
+        }
         AppendScanItem(&body, it->key(), it->value());
         ++count;
       }

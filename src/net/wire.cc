@@ -126,27 +126,43 @@ FrameDecodeResult DecodeFrame(std::string_view buf, size_t max_payload_bytes,
 
 // ---- Primitives -----------------------------------------------------------
 
+// Each encoder fills a stack array and appends it once: one size check
+// and one copy per field instead of one per byte.
+
+namespace {
+void StoreU32(char* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
+void StoreWireKey(char* p, Key key) {
+  for (int i = 0; i < 8; ++i) {
+    p[i] = static_cast<char>((key >> (8 * (7 - i))) & 0xff);
+  }
+}
+}  // namespace
+
 void AppendU16(std::string* dst, uint16_t v) {
-  dst->push_back(static_cast<char>(v & 0xff));
-  dst->push_back(static_cast<char>((v >> 8) & 0xff));
+  const char b[2] = {static_cast<char>(v & 0xff),
+                     static_cast<char>((v >> 8) & 0xff)};
+  dst->append(b, sizeof(b));
 }
 
 void AppendU32(std::string* dst, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    dst->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+  char b[4];
+  StoreU32(b, v);
+  dst->append(b, sizeof(b));
 }
 
 void AppendU64(std::string* dst, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    dst->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+  char b[8];
+  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  dst->append(b, sizeof(b));
 }
 
 void AppendWireKey(std::string* dst, Key key) {
-  for (int i = 7; i >= 0; --i) {
-    dst->push_back(static_cast<char>((key >> (8 * i)) & 0xff));
-  }
+  char b[8];
+  StoreWireKey(b, key);
+  dst->append(b, sizeof(b));
 }
 
 bool ReadU16(std::string_view buf, size_t* pos, uint16_t* v) {
@@ -297,7 +313,12 @@ std::string EncodeEmptyOkResponse() {
 }
 
 std::string EncodeScanResponse(const std::vector<ScanItem>& items) {
+  size_t bytes = 1 + 4;
+  for (const ScanItem& item : items) {
+    bytes += kScanItemHeaderBytes + item.value.size();
+  }
   std::string p;
+  p.reserve(bytes);
   const size_t count_offset = BeginScanResponse(&p);
   for (const ScanItem& item : items) AppendScanItem(&p, item.key, item.value);
   FinishScanResponse(&p, count_offset, static_cast<uint32_t>(items.size()));
@@ -312,16 +333,16 @@ size_t BeginScanResponse(std::string* payload) {
 }
 
 void AppendScanItem(std::string* payload, Key key, std::string_view value) {
-  AppendWireKey(payload, key);
-  AppendU32(payload, static_cast<uint32_t>(value.size()));
+  char head[kScanItemHeaderBytes];
+  StoreWireKey(head, key);
+  StoreU32(head + 8, static_cast<uint32_t>(value.size()));
+  payload->append(head, sizeof(head));
   payload->append(value);
 }
 
 void FinishScanResponse(std::string* payload, size_t count_offset,
                         uint32_t count) {
-  std::string le;
-  AppendU32(&le, count);
-  payload->replace(count_offset, le.size(), le);
+  StoreU32(payload->data() + count_offset, count);
 }
 
 std::string EncodeStatsResponse(std::string_view text) {

@@ -199,6 +199,8 @@ std::string EncodeScanResponse(const std::vector<ScanItem>& items);
 /// AppendScanItem appends one (key, u32 length, value) triple; and
 /// FinishScanResponse writes the final item count at that offset.
 size_t BeginScanResponse(std::string* payload);
+/// Bytes AppendScanItem adds before the value: the key and the length.
+inline constexpr size_t kScanItemHeaderBytes = 8 + 4;
 void AppendScanItem(std::string* payload, Key key, std::string_view value);
 void FinishScanResponse(std::string* payload, size_t count_offset,
                         uint32_t count);

@@ -14,12 +14,12 @@ namespace lsmssd {
 /// reach the underlying file only on Sync, so dropping this object after
 /// a trip loses them — except that a crash *during* Sync tears the log,
 /// flushing only a prefix of the buffered bytes without an fsync. WAL
-/// recovery must therefore tolerate a torn final entry, and a sweep over
+/// recovery must therefore tolerate a torn final batch, and a sweep over
 /// crash points exercises every tear.
 ///
 /// Injector steps: one per Append, Sync, and Truncate.
 ///
-/// Not thread-safe, and need not be: the Db buffers WAL frames in its
+/// Not thread-safe, and need not be: the Db buffers WAL batches in its
 /// own commit buffer (WalWriter) and issues every Append and Sync from
 /// one group-commit round at a time, so Sync never runs concurrently
 /// with Append.
@@ -33,6 +33,7 @@ class FaultInjectionWalFile : public WalFile {
   Status Append(std::string_view data) override;
   Status Sync() override;
   Status Truncate() override;
+  uint64_t size() const override { return base_->size() + buffer_.size(); }
 
   /// Bytes appended since the last successful Sync (lost on a crash).
   size_t unsynced_bytes() const { return buffer_.size(); }

@@ -16,14 +16,6 @@ Status Errno(const std::string& what) {
   return Status::IoError(what + ": " + std::strerror(errno));
 }
 
-void PutU32(uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64(uint64_t v, std::string* out) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
 uint32_t GetU32(const unsigned char* p) {
   uint32_t v = 0;
   for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
@@ -181,13 +173,20 @@ namespace vlog {
 
 std::string EncodeEntry(Key key, std::string_view value) {
   std::string out;
-  out.reserve(kEntryHeaderSize + value.size());
-  out.push_back(static_cast<char>(kEntryMagic));
-  PutU64(key, &out);
-  PutU32(static_cast<uint32_t>(value.size()), &out);
-  PutU32(EntryCrc(key, static_cast<uint32_t>(value.size()), value), &out);
-  out.append(value);
+  EncodeEntry(key, value, &out);
   return out;
+}
+
+void EncodeEntry(Key key, std::string_view value, std::string* out) {
+  const auto len = static_cast<uint32_t>(value.size());
+  char hdr[kEntryHeaderSize];
+  hdr[0] = static_cast<char>(kEntryMagic);
+  for (int i = 0; i < 8; ++i) hdr[1 + i] = static_cast<char>(key >> (8 * i));
+  for (int i = 0; i < 4; ++i) hdr[9 + i] = static_cast<char>(len >> (8 * i));
+  const uint32_t crc = EntryCrc(key, len, value);
+  for (int i = 0; i < 4; ++i) hdr[13 + i] = static_cast<char>(crc >> (8 * i));
+  out->assign(hdr, kEntryHeaderSize);
+  out->append(value);
 }
 
 Status ReadEntry(VlogFile* file, uint64_t offset, Key expected_key,

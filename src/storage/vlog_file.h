@@ -137,6 +137,10 @@ struct EntryInfo {
 /// Serializes one entry (header + value).
 std::string EncodeEntry(Key key, std::string_view value);
 
+/// Replaces `*out` with the serialized entry, reusing its capacity (the
+/// commit path encodes every vlog Put into one buffer).
+void EncodeEntry(Key key, std::string_view value, std::string* out);
+
 /// Reads and fully verifies the entry at `offset`: magic, key match,
 /// length match, crc. On success `value` holds the payload. Any
 /// mismatch is `Corruption` naming the offset; reading past the file

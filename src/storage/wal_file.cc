@@ -1,6 +1,7 @@
 #include "src/storage/wal_file.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -15,11 +16,19 @@ StatusOr<std::unique_ptr<PosixWalFile>> PosixWalFile::Open(
     return Status::IoError("cannot open WAL " + path + ": " +
                            std::strerror(errno));
   }
-  return std::unique_ptr<PosixWalFile>(new PosixWalFile(path, fd));
+  struct ::stat st;
+  if (::fstat(fd, &st) != 0) {
+    const int err = errno;
+    ::close(fd);
+    return Status::IoError("cannot stat WAL " + path + ": " +
+                           std::strerror(err));
+  }
+  return std::unique_ptr<PosixWalFile>(
+      new PosixWalFile(path, fd, static_cast<uint64_t>(st.st_size)));
 }
 
-PosixWalFile::PosixWalFile(std::string path, int fd)
-    : path_(std::move(path)), fd_(fd) {}
+PosixWalFile::PosixWalFile(std::string path, int fd, uint64_t size)
+    : path_(std::move(path)), fd_(fd), size_(size) {}
 
 PosixWalFile::~PosixWalFile() {
   if (fd_ >= 0) ::close(fd_);
@@ -35,6 +44,7 @@ Status PosixWalFile::Append(std::string_view data) {
                              std::strerror(errno));
     }
     done += static_cast<size_t>(n);
+    size_ += static_cast<uint64_t>(n);
   }
   return Status::OK();
 }
@@ -52,6 +62,7 @@ Status PosixWalFile::Truncate() {
     return Status::IoError("WAL truncate of " + path_ + ": " +
                            std::strerror(errno));
   }
+  size_ = 0;
   return Sync();
 }
 

@@ -1,6 +1,7 @@
 #ifndef LSMSSD_STORAGE_WAL_FILE_H_
 #define LSMSSD_STORAGE_WAL_FILE_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -27,6 +28,10 @@ class WalFile {
 
   /// Empties the log (after a successful checkpoint) and syncs.
   virtual Status Truncate() = 0;
+
+  /// Bytes in the log, synced or not (the WAL writes its file header
+  /// into an empty log).
+  virtual uint64_t size() const = 0;
 };
 
 /// Production WalFile: unbuffered positional appends to a plain file via a
@@ -44,14 +49,16 @@ class PosixWalFile : public WalFile {
   Status Append(std::string_view data) override;
   Status Sync() override;
   Status Truncate() override;
+  uint64_t size() const override { return size_; }
 
   const std::string& path() const { return path_; }
 
  private:
-  PosixWalFile(std::string path, int fd);
+  PosixWalFile(std::string path, int fd, uint64_t size);
 
   std::string path_;
   int fd_;
+  uint64_t size_;
 };
 
 }  // namespace lsmssd

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -265,8 +266,8 @@ TEST(DbTest, ErrorIfExistsCatchesPreCheckpointLeftovers) {
 }
 
 TEST(DbTest, MidWalCorruptionFailsOpenInsteadOfTruncating) {
-  // Bit rot in an early WAL entry must not make Open silently truncate
-  // away the later (synced, acknowledged) entries behind it.
+  // Bit rot in an early WAL batch must not make Open silently truncate
+  // away the later (synced, acknowledged) batches behind it.
   const std::string dir = FreshDir("rot");
   const DbOptions dbopts = TinyDbOptions();
   {
@@ -276,16 +277,74 @@ TEST(DbTest, MidWalCorruptionFailsOpenInsteadOfTruncating) {
       ASSERT_TRUE(db_or.value()->Put(k, MakePayload(dbopts.options, k)).ok());
     }
   }
-  {  // Flip one byte in the first entry's payload.
+  {  // Flip one byte in the first batch's body: the file header is bytes
+     // [0, 8), the batch header [8, 16), key 0's tag and length 16 and 17,
+     // and its payload starts at 18 (kAlways: one batch per Put).
     std::fstream f(Db::WalPath(dir),
                    std::ios::binary | std::ios::in | std::ios::out);
-    f.seekg(12);
+    f.seekg(20);
     char c = static_cast<char>(f.get());
-    f.seekp(12);
+    f.seekp(20);
     f.put(static_cast<char>(c ^ 0x5a));
   }
   auto db_or = Db::Open(dbopts, dir);
   EXPECT_TRUE(db_or.status().IsCorruption()) << db_or.status().ToString();
+}
+
+TEST(DbTest, OldFormatWalFailsOpenAndChangesNoFile) {
+  // A wal.log in the older per-entry format (no v2 file header) is
+  // refused with Corruption naming the format, before Open touches any
+  // file: not the log, not the device, not even a stale MANIFEST.tmp.
+  const std::string dir = FreshDir("oldwal");
+  const DbOptions dbopts = TinyDbOptions();
+  {
+    auto db_or = Db::Open(dbopts, dir);
+    ASSERT_TRUE(db_or.ok());
+    for (Key k = 0; k < 40; ++k) {
+      ASSERT_TRUE(db_or.value()->Put(k, MakePayload(dbopts.options, k)).ok());
+    }
+    ASSERT_TRUE(db_or.value()->Checkpoint().ok());
+  }
+  // Two old-format entries: [u32 LE length][u32 LE FNV-1a of the rest]
+  // [u8 type][u64 LE key][payload].
+  std::string old_log;
+  for (Key k : {Key{41}, Key{42}}) {
+    std::string body(1, '\0');
+    for (int i = 0; i < 8; ++i) body.push_back(static_cast<char>(k >> (8 * i)));
+    body += MakePayload(dbopts.options, k);
+    uint32_t fnv = 2166136261u;
+    for (char c : body) {
+      fnv ^= static_cast<uint8_t>(c);
+      fnv *= 16777619u;
+    }
+    for (uint32_t v : {static_cast<uint32_t>(body.size()), fnv}) {
+      for (int i = 0; i < 4; ++i) {
+        old_log.push_back(static_cast<char>(v >> (8 * i)));
+      }
+    }
+    old_log += body;
+  }
+  {
+    std::ofstream out(Db::WalPath(dir), std::ios::binary | std::ios::trunc);
+    out.write(old_log.data(), static_cast<std::streamsize>(old_log.size()));
+    std::ofstream tmp(Db::ManifestTmpPath(dir), std::ios::binary);
+    tmp << "half-written checkpoint";
+  }
+  auto snapshot = [&dir] {
+    std::map<std::string, std::string> files;
+    for (const auto& e : std::filesystem::directory_iterator(dir)) {
+      std::ifstream in(e.path(), std::ios::binary);
+      files[e.path().filename().string()] =
+          std::string(std::istreambuf_iterator<char>(in), {});
+    }
+    return files;
+  };
+  const auto before = snapshot();
+  auto db_or = Db::Open(dbopts, dir);
+  ASSERT_TRUE(db_or.status().IsCorruption()) << db_or.status().ToString();
+  EXPECT_NE(db_or.status().message().find("format"), std::string::npos)
+      << db_or.status().message();
+  EXPECT_EQ(snapshot(), before);
 }
 
 TEST(DbTest, BadModificationsAreRejectedBeforeLogging) {
@@ -417,7 +476,13 @@ TEST(DbTest, StatsSurfaceIoAndWalCounters) {
   EXPECT_GT(stats.io.cache_hits() + stats.io.cache_misses(), 0u);
   EXPECT_GT(stats.io.bloom_skips(), 0u);
   EXPECT_EQ(stats.wal_entries_appended, 500u);
-  EXPECT_GT(stats.wal_bytes_appended, 500u * 29u);  // 8B frame + 9B + 20B.
+  // kAlways: one batch per Put, 8-byte batch header + tag + 1-2 key
+  // bytes + 1-byte length + 20-byte payload; plus the file header.
+  EXPECT_GE(stats.wal_bytes_appended, 8u + 500u * 31u);
+  EXPECT_LE(stats.wal_bytes_appended, 8u + 500u * 32u);
+  // Every byte counted is a byte of the log file, headers included.
+  EXPECT_EQ(stats.wal_bytes_appended,
+            std::filesystem::file_size(Db::WalPath(dir)));
   EXPECT_EQ(stats.wal_syncs, 500u);  // kAlways.
   const std::string text = stats.ToString();
   EXPECT_NE(text.find("wal:"), std::string::npos);

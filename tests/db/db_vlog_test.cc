@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/lsm/wal.h"
 #include "src/storage/vlog_file.h"
 #include "src/workload/driver.h"
 #include "tests/test_util.h"
@@ -208,6 +209,59 @@ TEST(DbVlogTest, HeadTruncationSweepRecoversDurablePrefix) {
     ASSERT_TRUE(got.ok()) << "cut " << cut;
     EXPECT_EQ(got.value(), MakePayload(dbopts.options, 1000));
   }
+}
+
+TEST(DbVlogTest, DanglingPointerCutsItsWholeWalBatch) {
+  // A WAL batch replays whole or not at all. Batch 2 holds a valid
+  // pointer followed by one whose vlog bytes were lost: recovery cuts
+  // the log at the start of batch 2, replays neither of its entries,
+  // and truncates the vlog head back to batch 1's frontier.
+  const std::string dir = FreshDir("dangle_batch");
+  DbOptions dbopts = TinyVlogOptions();
+  dbopts.wal_sync_mode = WalSyncMode::kEveryN;
+  dbopts.wal_sync_every_n = 1000;  // Batches end only at SyncWal/Close.
+  {
+    auto db_or = Db::Open(dbopts, dir);
+    ASSERT_TRUE(db_or.ok());
+    Db& db = *db_or.value();
+    ASSERT_TRUE(db.Put(1, MakePayload(dbopts.options, 1)).ok());
+    ASSERT_TRUE(db.SyncWal().ok());  // Batch 1.
+    ASSERT_TRUE(db.Put(2, MakePayload(dbopts.options, 2)).ok());
+    ASSERT_TRUE(db.Put(3, MakePayload(dbopts.options, 3)).ok());
+  }  // Clean close: batch 2 holds keys 2 and 3.
+  size_t wal_bytes = 0;
+  std::vector<size_t> offsets;
+  auto records = WalReader::ReadAll(Db::WalPath(dir), &wal_bytes, &offsets);
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records->size(), 3u);
+  ASSERT_NE(offsets[0], offsets[1]);
+  ASSERT_EQ(offsets[1], offsets[2]);
+  const size_t batch2 = offsets[1];
+  // Lose the tail of key 3's vlog entry; key 2's stays intact.
+  const std::string head = Db::VlogSegmentPath(dir, 0);
+  ASSERT_EQ(std::filesystem::file_size(head), 3 * kEntryBytes);
+  ASSERT_EQ(::truncate(head.c_str(), static_cast<off_t>(3 * kEntryBytes - 1)),
+            0);
+
+  auto db_or = Db::Open(dbopts, dir);
+  ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
+  Db& db = *db_or.value();
+  EXPECT_EQ(db.Stats().recovery_wal_entries_replayed, 1u);
+  auto got = db.Get(1);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got.value(), MakePayload(dbopts.options, 1));
+  EXPECT_TRUE(db.Get(2).status().IsNotFound());
+  EXPECT_TRUE(db.Get(3).status().IsNotFound());
+  EXPECT_EQ(std::filesystem::file_size(Db::WalPath(dir)), batch2);
+  EXPECT_EQ(std::filesystem::file_size(head), kEntryBytes);
+  // The recovered Db appends cleanly behind the cut.
+  ASSERT_TRUE(db.Put(4, MakePayload(dbopts.options, 4)).ok());
+  db_or.value().reset();
+  auto reopened = Db::Open(dbopts, dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_TRUE(reopened.value()->Get(1).ok());
+  EXPECT_TRUE(reopened.value()->Get(2).status().IsNotFound());
+  EXPECT_TRUE(reopened.value()->Get(4).ok());
 }
 
 TEST(DbVlogTest, GcReclaimsDeadSegmentsAndKeepsEveryLiveValue) {

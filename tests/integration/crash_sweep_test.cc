@@ -44,8 +44,9 @@ struct Op {
 /// Deterministic workload: interleaved puts/deletes over a small key
 /// space (so deletes hit existing keys and merges carry tombstones),
 /// with one explicit checkpoint in the middle. The 20-key cycle is
-/// deliberately smaller than the ~29-entry auto-checkpoint window
-/// (checkpoint_wal_bytes=1000 / ~34-byte frames), so keys repeat within
+/// deliberately smaller than the 32-to-43-entry auto-checkpoint window
+/// (checkpoint_wal_bytes=1000 / 23-byte entries plus their share of the
+/// 8-byte batch headers), so keys repeat within
 /// one window, and each put carries an op-unique payload — recovering a
 /// stale WAL prefix on top of a newer checkpoint therefore visibly
 /// regresses any key rewritten since the last group commit, instead of

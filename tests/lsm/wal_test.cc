@@ -11,6 +11,7 @@
 
 #include "src/lsm/manifest.h"
 #include "src/storage/fault_injection_wal_file.h"
+#include "src/util/crc32c.h"
 #include "tests/test_util.h"
 
 namespace lsmssd {
@@ -26,6 +27,54 @@ std::string WalPath(const char* tag) {
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteFile(const std::string& path, std::string_view data) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(data.data(), static_cast<std::streamsize>(data.size()));
+}
+
+/// A log written one Sync per batch: the entries of each batch, the file
+/// bytes, and the end offset of each batch in them.
+struct BatchedLog {
+  std::vector<std::vector<Record>> batches;
+  std::string bytes;
+  std::vector<size_t> batch_ends;
+};
+
+BatchedLog WriteBatches(const std::string& path,
+                        std::vector<std::vector<Record>> batches) {
+  ::unlink(path.c_str());
+  BatchedLog log;
+  log.batches = std::move(batches);
+  auto writer = WalWriter::Open(path);
+  EXPECT_TRUE(writer.ok()) << writer.status().ToString();
+  for (const std::vector<Record>& batch : log.batches) {
+    for (const Record& r : batch) EXPECT_TRUE(writer.value()->Append(r).ok());
+    EXPECT_TRUE(writer.value()->Sync().ok());
+    log.batch_ends.push_back(ReadFile(path).size());
+  }
+  log.bytes = ReadFile(path);
+  return log;
+}
+
+/// Three batches of mixed entries: keys of several widths (0 to 8
+/// bytes), tombstones, and a payload long enough for a two-byte varint.
+BatchedLog WriteThreeBatches(const std::string& path) {
+  return WriteBatches(
+      path, {{Record::Put(0, "zero"), Record::Tombstone(0x1234),
+              Record::Put(0xffffffffffffffff, std::string(300, 'w'))},
+             {Record::Put(7, "seven"), Record::Put(0x10000, "")},
+             {Record::Tombstone(99), Record::Put(0xabcdef, "last")}});
+}
+
+/// The entries of the first `n` batches of `log`, in order.
+std::vector<Record> FirstBatches(const BatchedLog& log, size_t n) {
+  std::vector<Record> out;
+  for (size_t i = 0; i < n; ++i) {
+    out.insert(out.end(), log.batches[i].begin(), log.batches[i].end());
+  }
+  return out;
 }
 
 /// What a RecordingWalFile saw; outlives the file the writer owns.
@@ -52,6 +101,7 @@ class RecordingWalFile : public WalFile {
     log_->bytes.clear();
     return Status::OK();
   }
+  uint64_t size() const override { return log_->bytes.size(); }
 
  private:
   WalFileLog* log_;
@@ -119,6 +169,7 @@ TEST(WalTest, TornTailIsDropped) {
   {
     auto writer = WalWriter::Open(path);
     ASSERT_TRUE(writer.value()->Append(Record::Put(1, "aaaa")).ok());
+    ASSERT_TRUE(writer.value()->Sync().ok());  // One batch per sync.
     ASSERT_TRUE(writer.value()->Append(Record::Put(2, "bbbb")).ok());
     ASSERT_TRUE(writer.value()->Sync().ok());
   }
@@ -134,7 +185,7 @@ TEST(WalTest, TornTailIsDropped) {
   }
   auto records = WalReader::ReadAll(path);
   ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records->size(), 1u);  // Complete first entry only.
+  ASSERT_EQ(records->size(), 1u);  // Complete first batch only.
   EXPECT_EQ((*records)[0].key, 1u);
   ::unlink(path.c_str());
 }
@@ -144,6 +195,7 @@ TEST(WalTest, CorruptChecksumStopsReplay) {
   {
     auto writer = WalWriter::Open(path);
     ASSERT_TRUE(writer.value()->Append(Record::Put(1, "aaaa")).ok());
+    ASSERT_TRUE(writer.value()->Sync().ok());  // One batch per sync.
     ASSERT_TRUE(writer.value()->Append(Record::Put(2, "bbbb")).ok());
     ASSERT_TRUE(writer.value()->Sync().ok());
   }
@@ -152,7 +204,7 @@ TEST(WalTest, CorruptChecksumStopsReplay) {
     std::ifstream in(path, std::ios::binary);
     data.assign(std::istreambuf_iterator<char>(in), {});
   }
-  data[data.size() - 2] ^= 0x5a;  // Corrupt the *second* entry's payload.
+  data[data.size() - 2] ^= 0x5a;  // Corrupt the *second* batch's payload.
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(data.data(), static_cast<std::streamsize>(data.size()));
@@ -164,27 +216,20 @@ TEST(WalTest, CorruptChecksumStopsReplay) {
 }
 
 TEST(WalTest, MidFileCorruptionIsSurfacedNotTruncated) {
-  // A bad frame with intact entries *behind* it is not a torn tail:
+  // A bad batch with intact batches *behind* it is not a torn tail:
   // stopping there would silently discard synced, acknowledged data, so
   // the reader must refuse with Corruption. Flip one byte at every
-  // offset of the first two entries; the third stays well-formed.
+  // offset of the file header and the first two batches; the third
+  // stays well-formed.
   const std::string path = WalPath("midcorrupt");
-  {
-    auto writer = WalWriter::Open(path);
-    ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer.value()->Append(Record::Put(1, "aaaa")).ok());
-    ASSERT_TRUE(writer.value()->Append(Record::Put(2, "bbbb")).ok());
-    ASSERT_TRUE(writer.value()->Append(Record::Put(3, "cccc")).ok());
-    ASSERT_TRUE(writer.value()->Sync().ok());
-  }
-  std::string data;
-  {
-    std::ifstream in(path, std::ios::binary);
-    data.assign(std::istreambuf_iterator<char>(in), {});
-  }
-  const size_t entry_size = 8 + 9 + 4;
-  ASSERT_EQ(data.size(), 3 * entry_size);
-  for (size_t off = 0; off < 2 * entry_size; ++off) {
+  const BatchedLog log = WriteBatches(
+      path, {{Record::Put(1, "aaaa")},
+             {Record::Put(2, "bbbb")},
+             {Record::Put(3, "cccc")}});
+  const std::string& data = log.bytes;
+  const size_t batch_size = 8 + 1 + 1 + 1 + 4;  // Header, tag, key, len.
+  ASSERT_EQ(data.size(), 8 + 3 * batch_size);
+  for (size_t off = 0; off < log.batch_ends[1]; ++off) {
     SCOPED_TRACE("flip at " + std::to_string(off));
     std::string bad = data;
     bad[off] ^= 0x5a;
@@ -209,32 +254,22 @@ TEST(WalTest, TornTailFuzzEveryTruncationOffset) {
       Record::Tombstone(22),
       Record::Put(33, "cccccc"),
   };
-  {
-    auto writer = WalWriter::Open(path);
-    ASSERT_TRUE(writer.ok());
-    for (const Record& r : kEntries) {
-      ASSERT_TRUE(writer.value()->Append(r).ok());
-    }
-    ASSERT_TRUE(writer.value()->Sync().ok());
-  }
-  std::string data;
-  {
-    std::ifstream in(path, std::ios::binary);
-    data.assign(std::istreambuf_iterator<char>(in), {});
-  }
-  // Framed size of entry i: 8-byte header + 1 type + 8 key + payload.
-  const size_t sizes[] = {8 + 9 + 4, 8 + 9 + 0, 8 + 9 + 6};
-  ASSERT_EQ(data.size(), sizes[0] + sizes[1] + sizes[2]);
+  // One entry per batch (a Sync after each), so the whole batches
+  // before a cut are the whole entries before it.
+  const BatchedLog log = WriteBatches(
+      path, {{kEntries[0]}, {kEntries[1]}, {kEntries[2]}});
+  const std::string& data = log.bytes;
+  // File header, then per batch: 8-byte header, tag, 1 key byte, a
+  // one-byte length, payload.
+  const size_t sizes[] = {8 + 3 + 4, 8 + 3 + 0, 8 + 3 + 6};
+  ASSERT_EQ(data.size(), 8 + sizes[0] + sizes[1] + sizes[2]);
 
   for (size_t cut = 0; cut < data.size(); ++cut) {
     SCOPED_TRACE("cut at " + std::to_string(cut));
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(data.data(), static_cast<std::streamsize>(cut));
-    }
+    WriteFile(path, std::string_view(data).substr(0, cut));
     size_t expect = 0;
-    if (cut >= sizes[0]) ++expect;
-    if (cut >= sizes[0] + sizes[1]) ++expect;
+    if (cut >= 8 + sizes[0]) ++expect;
+    if (cut >= 8 + sizes[0] + sizes[1]) ++expect;
     if (cut >= data.size()) ++expect;  // Unreachable; documents intent.
     auto records = WalReader::ReadAll(path);
     ASSERT_TRUE(records.ok()) << records.status().ToString();
@@ -247,25 +282,16 @@ TEST(WalTest, TornTailFuzzEveryTruncationOffset) {
 }
 
 TEST(WalTest, TornTailFuzzEveryBitFlipInFinalEntry) {
-  // Corruption anywhere in the final entry (bit rot, torn sector) must
-  // drop that entry and keep the intact prefix — never crash, never
-  // return a mangled record.
+  // Corruption anywhere in the final entry's batch (bit rot, torn
+  // sector) must drop that batch and keep the intact prefix — never
+  // crash, never return a mangled record.
   const std::string path = WalPath("fuzzflip");
   const Record kKept[] = {Record::Put(1, "xxxx"), Record::Put(2, "yyyy")};
-  {
-    auto writer = WalWriter::Open(path);
-    ASSERT_TRUE(writer.ok());
-    for (const Record& r : kKept) ASSERT_TRUE(writer.value()->Append(r).ok());
-    ASSERT_TRUE(writer.value()->Append(Record::Put(3, "zzzz")).ok());
-    ASSERT_TRUE(writer.value()->Sync().ok());
-  }
-  std::string data;
-  {
-    std::ifstream in(path, std::ios::binary);
-    data.assign(std::istreambuf_iterator<char>(in), {});
-  }
-  const size_t entry_size = 8 + 9 + 4;
-  const size_t final_start = data.size() - entry_size;
+  const BatchedLog log = WriteBatches(
+      path, {{kKept[0], kKept[1]}, {Record::Put(3, "zzzz")}});
+  const std::string& data = log.bytes;
+  const size_t final_start = log.batch_ends[0];
+  ASSERT_EQ(data.size() - final_start, 8 + 1 + 1 + 1 + 4u);
   for (size_t off = final_start; off < data.size(); ++off) {
     for (const char mask : {char(0x01), char(0xA5), char(0xFF)}) {
       SCOPED_TRACE("flip at " + std::to_string(off));
@@ -285,75 +311,188 @@ TEST(WalTest, TornTailFuzzEveryBitFlipInFinalEntry) {
   ::unlink(path.c_str());
 }
 
-TEST(WalTest, FramesAreByteIdenticalToTheOnDiskFormat) {
-  // Golden bytes, computed from the format spec in wal.h
-  // ([u32 LE length][u32 LE FNV-1a of payload][u8 type][u64 LE key]
-  // [payload]) independently of the encoder, so logs written by any
-  // earlier version keep replaying.
-  const unsigned char kPut[] = {
-      0x0c, 0x00, 0x00, 0x00, 0x67, 0xee, 0x88, 0x00, 0x00, 0x08,
-      0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, 0x68, 0x69, 0x21};
-  const unsigned char kTombstone[] = {0x09, 0x00, 0x00, 0x00, 0x66, 0x6a,
-                                      0x80, 0x23, 0x01, 0x2a, 0x00, 0x00,
-                                      0x00, 0x00, 0x00, 0x00, 0x00};
+TEST(WalTest, BatchesAreByteIdenticalToTheOnDiskFormat) {
+  // Golden bytes, built here from the format spec in wal.h rather than
+  // by the encoder, so the on-disk format cannot drift unnoticed: the
+  // file header, then one batch of a Put and a Tombstone.
+  const unsigned char kFileHeader[] = {'L', 'S', 'M', 'W',
+                                       'A', 'L', 0x02, 0x00};
+  const unsigned char kBody[] = {
+      // Put: tag (Put, width 8), key big-endian, length 3, "hi!".
+      0x08, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x03, 'h', 'i',
+      '!',
+      // Tombstone: tag (Delete, width 1), key 0x2a, length 0.
+      0x11, 0x2a, 0x00};
+  const unsigned char kLength[] = {sizeof(kBody), 0x00, 0x00, 0x00};
+  std::string covered(reinterpret_cast<const char*>(kLength), 4);
+  covered.append(reinterpret_cast<const char*>(kBody), sizeof(kBody));
+  const uint32_t crc = crc32c::Value(
+      reinterpret_cast<const uint8_t*>(covered.data()), covered.size());
+  EXPECT_EQ(crc, 0x7827f795u);  // Pins what the checksum covers.
+  std::string want(reinterpret_cast<const char*>(kFileHeader), 8);
+  want.append(reinterpret_cast<const char*>(kLength), 4);
+  for (int i = 0; i < 4; ++i) want.push_back(static_cast<char>(crc >> (8 * i)));
+  want.append(reinterpret_cast<const char*>(kBody), sizeof(kBody));
+
   WalFileLog log;
   auto writer = WalWriter::Wrap(std::make_unique<RecordingWalFile>(&log));
   ASSERT_TRUE(writer->Append(Record::Put(0x0102030405060708, "hi!")).ok());
   ASSERT_TRUE(writer->Append(Record::Tombstone(0x2a)).ok());
   ASSERT_TRUE(writer->Sync().ok());
-  const std::string want =
-      std::string(reinterpret_cast<const char*>(kPut), sizeof(kPut)) +
-      std::string(reinterpret_cast<const char*>(kTombstone),
-                  sizeof(kTombstone));
   EXPECT_EQ(log.bytes, want);
+  EXPECT_EQ(log.appends, 1);  // File header and batch in one write.
   EXPECT_EQ(writer->bytes_appended(), want.size());
   EXPECT_EQ(writer->entries_appended(), 2u);
+
+  // A 44-byte Put (4-byte key, 40-byte payload) logs 46 bytes.
+  const uint64_t before = writer->bytes_appended();
+  writer->Buffer(RecordType::kPut, 0x89abcdef, std::string(40, 'v'));
+  EXPECT_EQ(writer->bytes_appended() - before, 8u + 46u);  // New batch.
+  writer->Buffer(RecordType::kPut, 0x89abcdf0, std::string(40, 'v'));
+  EXPECT_EQ(writer->bytes_appended() - before, 8u + 2 * 46u);
 }
 
-TEST(WalTest, TornBatchRecoversExactlyTheWholeFramesBeforeTheTear) {
-  // A group commit writes many frames with one write; a crash can cut
-  // that write at any byte. Recovery must return exactly the frames that
-  // end at or before the cut.
-  const std::string path = WalPath("tornbatch");
-  ::unlink(path.c_str());
-  std::vector<Record> entries;
-  for (Key k = 0; k < 40; ++k) {
-    entries.push_back(k % 5 == 3
-                          ? Record::Tombstone(k)
-                          : Record::Put(k, std::string(k % 7, 'a' + k % 26)));
-  }
+TEST(WalTest, ReopenedLogKeepsOneFileHeader) {
+  // Only an empty file gets the file header: a writer reopened on a
+  // non-empty log appends batches, and a truncated log starts again.
+  WalFileLog log;
   {
-    auto base = PosixWalFile::Open(path);
-    ASSERT_TRUE(base.ok());
-    auto writer = WalWriter::Wrap(std::move(base).value());
-    for (const Record& r : entries) ASSERT_TRUE(writer->Append(r).ok());
-    EXPECT_EQ(ReadFile(path).size(), 0u);  // Still in the commit buffer.
+    auto writer = WalWriter::Wrap(std::make_unique<RecordingWalFile>(&log));
+    ASSERT_TRUE(writer->Sync().ok());  // Nothing buffered: nothing written.
+    EXPECT_EQ(log.bytes.size(), 0u);
+    ASSERT_TRUE(writer->Append(Record::Put(1, "a")).ok());
     ASSERT_TRUE(writer->Sync().ok());
   }
-  const std::string data = ReadFile(path);
-  std::vector<size_t> frame_ends;
-  size_t end = 0;
-  for (const Record& r : entries) {
-    end += 8 + 9 + r.payload.size();
-    frame_ends.push_back(end);
-  }
-  ASSERT_EQ(data.size(), end);
+  const size_t first = log.bytes.size();
+  EXPECT_EQ(first, 8u + 8u + 4u);
+  auto writer = WalWriter::Wrap(std::make_unique<RecordingWalFile>(&log));
+  ASSERT_TRUE(writer->Append(Record::Put(2, "b")).ok());
+  ASSERT_TRUE(writer->Sync().ok());
+  EXPECT_EQ(log.bytes.size(), first + 8u + 4u);
+  EXPECT_EQ(log.bytes.substr(0, 8), std::string("LSMWAL\x02\x00", 8));
+  ASSERT_TRUE(writer->Truncate().ok());
+  ASSERT_TRUE(writer->Append(Record::Put(3, "c")).ok());
+  ASSERT_TRUE(writer->Sync().ok());
+  EXPECT_EQ(log.bytes.size(), first);
+  EXPECT_EQ(log.bytes.substr(0, 8), std::string("LSMWAL\x02\x00", 8));
+}
+
+TEST(WalTest, TornLogRecoversExactlyTheWholeBatchesBeforeTheCut) {
+  // A crash can cut the log at any byte, including inside the file
+  // header. Recovery must return exactly the batches that end at or
+  // before the cut, report the intact prefix, and give each entry the
+  // offset of its batch.
+  const std::string path = WalPath("tornbatch");
+  const BatchedLog log = WriteThreeBatches(path);
+  const std::string& data = log.bytes;
+  ASSERT_EQ(data.size(), log.batch_ends.back());
 
   for (size_t cut = 0; cut <= data.size(); ++cut) {
     SCOPED_TRACE("cut at " + std::to_string(cut));
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(data.data(), static_cast<std::streamsize>(cut));
+    WriteFile(path, std::string_view(data).substr(0, cut));
+    size_t whole = 0;
+    while (whole < log.batch_ends.size() && log.batch_ends[whole] <= cut) {
+      ++whole;
     }
-    size_t expect = 0;
-    while (expect < frame_ends.size() && frame_ends[expect] <= cut) ++expect;
     size_t valid = 0;
-    auto records = WalReader::ReadAll(path, &valid);
+    std::vector<size_t> offsets;
+    auto records = WalReader::ReadAll(path, &valid, &offsets);
     ASSERT_TRUE(records.ok()) << records.status().ToString();
-    ASSERT_EQ(records->size(), expect);
-    EXPECT_EQ(valid, expect == 0 ? 0 : frame_ends[expect - 1]);
-    for (size_t i = 0; i < expect; ++i) EXPECT_EQ((*records)[i], entries[i]);
+    EXPECT_EQ(records.value(), FirstBatches(log, whole));
+    const size_t want_valid =
+        whole > 0 ? log.batch_ends[whole - 1] : (cut >= 8 ? 8 : 0);
+    EXPECT_EQ(valid, want_valid);
+    std::vector<size_t> want_offsets;
+    for (size_t b = 0; b < whole; ++b) {
+      const size_t start = b == 0 ? 8 : log.batch_ends[b - 1];
+      want_offsets.insert(want_offsets.end(), log.batches[b].size(), start);
+    }
+    EXPECT_EQ(offsets, want_offsets);
   }
+  ::unlink(path.c_str());
+}
+
+TEST(WalTest, EveryBitFlipInTheFirstBatchIsCorruption) {
+  // The first batch is followed by two valid ones, so no flip in it can
+  // pass for a torn tail: dropping it would discard synced batches.
+  const std::string path = WalPath("flipfirst");
+  const BatchedLog log = WriteThreeBatches(path);
+  for (size_t off = 8; off < log.batch_ends[0]; ++off) {
+    for (int bit = 0; bit < 8; ++bit) {
+      SCOPED_TRACE("flip bit " + std::to_string(bit) + " of byte " +
+                   std::to_string(off));
+      std::string bad = log.bytes;
+      bad[off] = static_cast<char>(bad[off] ^ (1 << bit));
+      WriteFile(path, bad);
+      auto records = WalReader::ReadAll(path);
+      ASSERT_TRUE(records.status().IsCorruption())
+          << records.status().ToString();
+    }
+  }
+  ::unlink(path.c_str());
+}
+
+TEST(WalTest, EveryBitFlipInTheLastBatchDropsOnlyThatBatch) {
+  const std::string path = WalPath("fliplast");
+  const BatchedLog log = WriteThreeBatches(path);
+  const std::vector<Record> kept = FirstBatches(log, 2);
+  for (size_t off = log.batch_ends[1]; off < log.batch_ends[2]; ++off) {
+    for (int bit = 0; bit < 8; ++bit) {
+      SCOPED_TRACE("flip bit " + std::to_string(bit) + " of byte " +
+                   std::to_string(off));
+      std::string bad = log.bytes;
+      bad[off] = static_cast<char>(bad[off] ^ (1 << bit));
+      WriteFile(path, bad);
+      size_t valid = 0;
+      auto records = WalReader::ReadAll(path, &valid);
+      ASSERT_TRUE(records.ok()) << records.status().ToString();
+      EXPECT_EQ(records.value(), kept);
+      EXPECT_EQ(valid, log.batch_ends[1]);
+    }
+  }
+  ::unlink(path.c_str());
+}
+
+TEST(WalTest, LogWithoutTheFileHeaderIsRefused) {
+  // A log in the older per-entry format ([u32 length][u32 FNV-1a]
+  // [u8 type][u64 LE key][payload] per entry, no file header), and any
+  // file header bit flip, are Corruption — from ReadAll and from the
+  // header check recovery runs first — and the reader leaves the file
+  // alone.
+  const std::string path = WalPath("oldformat");
+  std::string old_entry;
+  const std::string body = std::string("\x00", 1) +
+                           std::string("\x05\x00\x00\x00\x00\x00\x00\x00", 8) +
+                           "aaaa";
+  uint32_t fnv = 2166136261u;
+  for (char c : body) {
+    fnv ^= static_cast<uint8_t>(c);
+    fnv *= 16777619u;
+  }
+  for (uint32_t v : {static_cast<uint32_t>(body.size()), fnv}) {
+    for (int i = 0; i < 4; ++i) old_entry.push_back(static_cast<char>(v >> (8 * i)));
+  }
+  old_entry += body;
+  WriteFile(path, old_entry + old_entry);
+  auto records = WalReader::ReadAll(path);
+  EXPECT_TRUE(records.status().IsCorruption()) << records.status().ToString();
+  EXPECT_NE(records.status().message().find("format"), std::string::npos);
+  EXPECT_TRUE(WalReader::CheckHeader(path).IsCorruption());
+  EXPECT_EQ(ReadFile(path), old_entry + old_entry);
+
+  const BatchedLog log = WriteThreeBatches(path);
+  EXPECT_TRUE(WalReader::CheckHeader(path).ok());
+  for (size_t off = 0; off < 8; ++off) {
+    std::string bad = log.bytes;
+    bad[off] ^= 0x01;
+    WriteFile(path, bad);
+    EXPECT_TRUE(WalReader::ReadAll(path).status().IsCorruption()) << off;
+    EXPECT_TRUE(WalReader::CheckHeader(path).IsCorruption()) << off;
+  }
+  // A prefix of the header is a torn first write, not another format.
+  WriteFile(path, std::string_view(log.bytes).substr(0, 5));
+  EXPECT_TRUE(WalReader::CheckHeader(path).ok());
+  EXPECT_TRUE(WalReader::CheckHeader("/does/not/exist.wal").ok());
   ::unlink(path.c_str());
 }
 
@@ -364,8 +503,8 @@ TEST(WalTest, PendingBytesReachTheFileAtTheBoundWithoutSync) {
   WalFileLog log;
   auto writer = WalWriter::Wrap(std::make_unique<RecordingWalFile>(&log));
   const std::string payload(100, 'p');
-  const size_t frame = 8 + 9 + payload.size();
-  Key k = 0;
+  const size_t frame = 1 + 2 + 1 + payload.size();  // Keys of width 2.
+  Key k = 0x100;
   while (writer->bytes_appended() + frame < WalWriter::kMaxPendingBytes) {
     ASSERT_TRUE(writer->Append(Record::Put(k++, payload)).ok());
   }

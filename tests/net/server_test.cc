@@ -316,6 +316,47 @@ TEST(ServerTest, UnsupportedVersionGetsReplyThenClose) {
   EXPECT_EQ(fx.server->counters().connections_dropped_malformed, 0u);
 }
 
+TEST(ServerTest, SplitGetThenGetWithHalfCloseGetsBothReplies) {
+  // The event loop stops reading at a short recv rather than spending a
+  // syscall on the EAGAIN behind it, so the rest of a split frame, a
+  // later frame, and the EOF must each come back as a new readiness
+  // event (epoll is level-triggered). One GET arrives in two sends, then
+  // a second GET together with the client's half-close.
+  const DbOptions dbopts = TinyDbOptions();
+  ServerFixture fx("splitget", dbopts);
+  ASSERT_TRUE(fx.db->Put(1, Payload(dbopts.options, 1)).ok());
+  ASSERT_TRUE(fx.db->Put(2, Payload(dbopts.options, 2)).ok());
+  RawConn raw(fx.server->port());
+  const std::string get1 =
+      EncodeFrame(static_cast<uint8_t>(Opcode::kGet), EncodeGetRequest(1));
+  raw.Send(std::string_view(get1).substr(0, 7));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  raw.Send(std::string_view(get1).substr(7));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  raw.Send(EncodeFrame(static_cast<uint8_t>(Opcode::kGet),
+                       EncodeGetRequest(2)));
+  ASSERT_EQ(::shutdown(raw.fd, SHUT_WR), 0);
+
+  const std::string reply = raw.ReadUntilEof();
+  std::string_view rest = reply;
+  for (Key key : {Key{1}, Key{2}}) {
+    SCOPED_TRACE("reply for key " + std::to_string(key));
+    Frame frame;
+    size_t consumed = 0;
+    std::string error;
+    ASSERT_EQ(DecodeFrame(rest, kDefaultMaxPayloadBytes, &frame, &consumed,
+                          &error),
+              FrameDecodeResult::kFrame)
+        << error;
+    rest.remove_prefix(consumed);
+    std::string_view body;
+    ASSERT_TRUE(DecodeResponseStatus(frame.payload, &body).ok());
+    EXPECT_EQ(body, Payload(dbopts.options, key));
+  }
+  EXPECT_TRUE(rest.empty());  // Both replies, then the close.
+  EXPECT_EQ(fx.server->counters().connections_dropped_malformed, 0u);
+}
+
 TEST(ServerTest, BackpressureCodeTravelsTheWire) {
   // A 6-block device bound makes the first L0 flush abort: the paired
   // satellite requirement is that the client sees *ResourceExhausted* —
