@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -331,25 +332,29 @@ void BM_WalWriterAppend(benchmark::State& state) {
 }
 BENCHMARK(BM_WalWriterAppend);
 
+/// Writes an 8 MiB log of 40-byte Puts in batches of 64 (one batch per
+/// sync round under kEveryN, N = 64) to `path`; returns the entry count.
+size_t WriteReplayLog(const std::string& path) {
+  auto writer_or = WalWriter::Open(path);
+  LSMSSD_CHECK(writer_or.ok()) << writer_or.status().ToString();
+  WalWriter& wal = *writer_or.value();
+  Record record = Record::Put(1, std::string(40, 'x'));
+  size_t entries = 0;
+  while (wal.bytes_appended() < (8u << 20)) {
+    LSMSSD_CHECK(wal.Append(record).ok());
+    record.key = record.key * 2654435761u % 4'000'000'000u + 1;
+    if (++entries % 64 == 0) LSMSSD_CHECK(wal.Sync().ok());
+  }
+  LSMSSD_CHECK(wal.Sync().ok());
+  return entries;
+}
+
 void BM_WalReadAll(benchmark::State& state) {
-  // WalReader::ReadAll of an 8 MiB log of 40-byte Puts in batches of 64
-  // (one batch per sync round under kEveryN, N = 64): the replay half of
-  // recovery, from the read of the file to the decoded records.
+  // WalReader::ReadAll of the replay log: the whole log decoded into one
+  // vector of Records, each payload on the heap.
   const std::string dir = FreshBenchDir("walread");
   const std::string path = dir + "/wal.log";
-  size_t entries = 0;
-  {
-    auto writer_or = WalWriter::Open(path);
-    LSMSSD_CHECK(writer_or.ok()) << writer_or.status().ToString();
-    WalWriter& wal = *writer_or.value();
-    Record record = Record::Put(1, std::string(40, 'x'));
-    while (wal.bytes_appended() < (8u << 20)) {
-      LSMSSD_CHECK(wal.Append(record).ok());
-      record.key = record.key * 2654435761u % 4'000'000'000u + 1;
-      if (++entries % 64 == 0) LSMSSD_CHECK(wal.Sync().ok());
-    }
-    LSMSSD_CHECK(wal.Sync().ok());
-  }
+  const size_t entries = WriteReplayLog(path);
   for (auto _ : state) {
     auto records = WalReader::ReadAll(path);
     LSMSSD_CHECK(records.ok() && records.value().size() == entries);
@@ -358,9 +363,37 @@ void BM_WalReadAll(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(entries));
   state.SetBytesProcessed(state.iterations() *
                           static_cast<int64_t>(std::filesystem::file_size(path)));
+  state.counters["peak_records"] = static_cast<double>(entries);
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_WalReadAll)->Unit(benchmark::kMillisecond);
+
+void BM_WalForEachBatch(benchmark::State& state) {
+  // The replay half of recovery as Engine::Open runs it: the same log,
+  // visited one decoded batch at a time (the batch buffer and its
+  // payloads are reused), so at most one batch of Records is held.
+  const std::string dir = FreshBenchDir("walvisit");
+  const std::string path = dir + "/wal.log";
+  const size_t entries = WriteReplayLog(path);
+  size_t peak_records = 0;
+  for (auto _ : state) {
+    size_t visited = 0;
+    Status st = WalReader::ForEachBatch(
+        path, [&](size_t, const std::vector<Record>& batch) {
+          visited += batch.size();
+          peak_records = std::max(peak_records, batch.size());
+          benchmark::DoNotOptimize(batch.data());
+          return Status::OK();
+        });
+    LSMSSD_CHECK(st.ok() && visited == entries);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(entries));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(std::filesystem::file_size(path)));
+  state.counters["peak_records"] = static_cast<double>(peak_records);
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_WalForEachBatch)->Unit(benchmark::kMillisecond);
 
 void BM_DbPutEveryN(benchmark::State& state) {
   // One Db::Put from one thread under group commit (kEveryN, N = 64):

@@ -7,12 +7,11 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <functional>
-#include <map>
 #include <shared_mutex>  // std::shared_lock
 
 #include "src/db/db.h"  // The directory layout (Db::ManifestPath, ...).
 #include "src/db/fs_util.h"
+#include "src/db/value_log.h"
 #include "src/lsm/manifest.h"
 #include "src/storage/fault_injection_wal_file.h"
 #include "src/util/logging.h"
@@ -36,44 +35,29 @@ uint64_t MicrosSince(Clock::time_point t0) {
           .count());
 }
 
-/// Iterator wrapper that pins the engine's tree by holding its shared tree
-/// lock until destroyed: the underlying tree iterator stays valid, and
-/// writers (which need the lock exclusively) wait.
+/// Takes `l` — with `try_only`, only when that needs no wait.
+bool Acquire(std::shared_lock<SharedMutex>& l, bool try_only) {
+  if (try_only) return l.try_lock();
+  l.lock();
+  return true;
+}
+
+/// The engine's iterator. Holding the shared tree and memtable locks
+/// until destroyed pins the tree and the memtables (which writers mutate
+/// under the memtable lock), so the base iterator stays valid and writers
+/// wait. With key–value separation on, value() resolves the current
+/// pointer through the value log, caching per position; a corrupt entry
+/// surfaces through status() with an empty value rather than tearing the
+/// whole iteration down.
 class SnapshotIterator : public Iterator {
  public:
-  /// `mem_lock` pins the memtables the iterator reads, which writers
-  /// mutate under their own lock rather than the tree lock.
   SnapshotIterator(std::shared_lock<SharedMutex> lock,
                    std::shared_lock<SharedMutex> mem_lock,
-                   std::unique_ptr<Iterator> base)
+                   std::unique_ptr<Iterator> base, const ValueLog* vlog)
       : lock_(std::move(lock)),
         mem_lock_(std::move(mem_lock)),
-        base_(std::move(base)) {}
-
-  bool Valid() const override { return base_->Valid(); }
-  void SeekToFirst() override { base_->SeekToFirst(); }
-  void Seek(Key target) override { base_->Seek(target); }
-  void Next() override { base_->Next(); }
-  Key key() const override { return base_->key(); }
-  const std::string& value() const override { return base_->value(); }
-  Status status() const override { return base_->status(); }
-
- private:
-  std::shared_lock<SharedMutex> lock_;
-  std::shared_lock<SharedMutex> mem_lock_;
-  std::unique_ptr<Iterator> base_;
-};
-
-/// Iterator layer for key–value separation: the base (a SnapshotIterator,
-/// which holds the engine's read locks for its lifetime) yields pointer
-/// payloads; value() resolves the current one through the value log,
-/// caching per position. A corrupt entry surfaces through status() with
-/// an empty value rather than tearing the whole iteration down.
-class VlogResolvingIterator : public Iterator {
- public:
-  using Resolver = std::function<Status(std::string_view, Key, std::string*)>;
-  VlogResolvingIterator(std::unique_ptr<Iterator> base, Resolver resolver)
-      : base_(std::move(base)), resolver_(std::move(resolver)) {}
+        base_(std::move(base)),
+        vlog_(vlog) {}
 
   bool Valid() const override { return base_->Valid(); }
   void SeekToFirst() override {
@@ -90,8 +74,9 @@ class VlogResolvingIterator : public Iterator {
   }
   Key key() const override { return base_->key(); }
   const std::string& value() const override {
+    if (vlog_ == nullptr) return base_->value();
     if (!resolved_valid_) {
-      Status st = resolver_(base_->value(), base_->key(), &resolved_);
+      Status st = vlog_->Resolve(base_->value(), base_->key(), &resolved_);
       if (!st.ok()) {
         resolved_.clear();
         status_ = std::move(st);
@@ -101,13 +86,14 @@ class VlogResolvingIterator : public Iterator {
     return resolved_;
   }
   Status status() const override {
-    if (!status_.ok()) return status_;
-    return base_->status();
+    return status_.ok() ? base_->status() : status_;
   }
 
  private:
+  std::shared_lock<SharedMutex> lock_;
+  std::shared_lock<SharedMutex> mem_lock_;
   std::unique_ptr<Iterator> base_;
-  Resolver resolver_;
+  const ValueLog* vlog_;  ///< Null when key–value separation is off.
   mutable std::string resolved_;
   mutable bool resolved_valid_ = false;
   mutable Status status_;
@@ -189,194 +175,29 @@ StatusOr<std::unique_ptr<Engine>> Engine::Open(const DbOptions& dbopts,
   if (!tree_or.ok()) return tree_or.status();
   engine->tree_ = std::move(tree_or).value();
 
-  // Key–value separation: the stored threshold is format-defining, so
-  // the *tree's* options (manifest-authoritative) decide, not the
-  // caller's. Discover the durable segments before replay — WAL pointer
-  // records are validated against the durable vlog frontier below.
-  engine->vlog_on_ = engine->tree_->options().vlog_enabled();
-  const VlogManifestState& vm = manifest.vlog;  // Zeros without a manifest.
-  uint64_t vlog_last = 0;  // Highest existing segment = the head.
-  std::map<uint64_t, uint64_t> vlog_sizes;  // Durable size per segment.
-  std::map<uint64_t, uint64_t> vlog_frontier;  // Max replayed pointer end.
-  if (engine->vlog_on_) {
-    engine->vlog_tail_file_ = vm.tail_file;
-    engine->vlog_pending_tail_ = vm.tail_file;
-    vlog_last = vm.head_file;
-    for (uint64_t n : Db::ListVlogSegments(dir)) {
-      if (n < vm.tail_file) {
-        // Crash between the manifest publishing this tail and the segment
-        // unlink: every live entry was already rewritten, finish the job.
-        (void)::unlink(Db::VlogSegmentPath(dir, n).c_str());
-        continue;
-      }
-      vlog_sizes[n] = FileSizeOrZero(Db::VlogSegmentPath(dir, n));
-      vlog_last = std::max(vlog_last, n);
-    }
-    // The manifest's tree state references entries up to head_offset; a
-    // head segment shorter than that lost durable (fsynced) bytes.
-    if (vm.head_offset > 0) {
-      auto it = vlog_sizes.find(vm.head_file);
-      if (it == vlog_sizes.end() || it->second < vm.head_offset) {
-        return Status::Corruption(
-            "vlog segment " + std::to_string(vm.head_file) +
-            " is shorter than the manifest frontier");
-      }
-    }
+  // The vlog threshold is format-defining, so the tree's (manifest-
+  // authoritative) options decide. Replay checks every pointer against
+  // the segments discovered here; the engine adopts the log only once it
+  // is recovered.
+  std::unique_ptr<ValueLog> vlog;
+  if (engine->tree_->options().vlog_enabled()) {
+    auto vlog_or = ValueLog::Open(dir, dbopts,
+                                  engine->tree_->options().payload_size,
+                                  manifest.vlog);
+    if (!vlog_or.ok()) return vlog_or.status();
+    vlog = std::move(vlog_or).value();
   }
 
-  // A WAL pointer record "dangles" when its entry ends past the durable
-  // bytes of its segment: the WAL fsync outran the vlog bytes (a crash in
-  // the window between the vlog sync and the WAL sync, or kNone losing
-  // the page cache). Dangling entries are always a *suffix* of the active
-  // log in commit order — vlog appends precede WAL appends under the
-  // commit lock and both tear as prefixes — so recovery drops the suffix.
-  // Pointers *below* the manifest tail are stale (GC already rewrote
-  // those keys later in the log) and replay harmlessly as blind writes.
-  auto vlog_dangles = [&](const Record& r) -> bool {
-    if (!engine->vlog_on_ || r.is_tombstone()) return false;
-    VlogPointer ptr;
-    if (!DecodeVlogPointer(r.payload, &ptr)) return true;
-    if (ptr.file < vm.tail_file) return false;
-    auto it = vlog_sizes.find(ptr.file);
-    const uint64_t size = it == vlog_sizes.end() ? 0 : it->second;
-    return ptr.offset + vlog::kEntryHeaderSize + ptr.length > size;
-  };
-
-  // Replay the WAL on top of the checkpoint, oldest first: rotated
-  // segments (a checkpoint's manifest write crashed after rotating the
-  // log), then the active log. Blind-write semantics make this safe even
-  // when the manifest already includes a prefix of the replayed entries
-  // (crash between manifest rename and segment unlink). Each entry is
-  // applied like a commit and drained like an inline writer, in either
-  // mode: the compaction thread starts only after recovery.
-  // A replayed pointer at or above the manifest tail extends the durable
-  // frontier of its segment (checked by vlog_dangles before replay).
-  auto replay_records = [&](const std::vector<Record>& records,
-                            size_t limit) -> Status {
-    LsmTree* tree = engine->tree_.get();
-    for (size_t i = 0; i < limit; ++i) {
-      const Record& r = records[i];
-      VlogPointer ptr;
-      if (engine->vlog_on_ && !r.is_tombstone() &&
-          DecodeVlogPointer(r.payload, &ptr) && ptr.file >= vm.tail_file) {
-        uint64_t& f = vlog_frontier[ptr.file];
-        f = std::max(f, ptr.offset + vlog::kEntryHeaderSize + ptr.length);
-      }
-      Status st = r.is_tombstone() ? tree->DeleteNoMerge(r.key)
-                                   : tree->PutNoMerge(r.key, r.payload);
-      if (st.IsInvalidArgument()) {
-        // A checksummed entry the tree rejects means the log lied about
-        // its own contents.
-        return Status::Corruption("WAL replay: " + st.message());
-      }
-      LSMSSD_RETURN_IF_ERROR(st);
-      LSMSSD_RETURN_IF_ERROR(engine->DrainCompactionLocked());
-      ++engine->recovery_replayed_;
-    }
-    return Status::OK();
-  };
-
-  for (const std::string& seg_path : wal_segments) {
-    size_t seg_valid_bytes = 0;
-    auto seg_or = WalReader::ReadAll(seg_path, &seg_valid_bytes);
-    if (!seg_or.ok()) return seg_or.status();
-    // Rotation only ever renames a fully synced, quiesced log, so a torn
-    // tail in a *segment* is real corruption, not a benign crash artifact
-    // (unlike the active log below). The same holds for its vlog bytes:
-    // rotation happens after a full sync pass that covers the vlog first,
-    // so a rotated entry whose pointer dangles lost durable data.
-    if (seg_valid_bytes < FileSizeOrZero(seg_path)) {
-      return Status::Corruption("rotated WAL segment " + seg_path +
-                                " has a torn tail");
-    }
-    for (const Record& r : seg_or.value()) {
-      if (vlog_dangles(r)) {
-        return Status::Corruption("rotated WAL segment " + seg_path +
-                                  " references lost vlog bytes");
-      }
-    }
-    LSMSSD_RETURN_IF_ERROR(replay_records(seg_or.value(),
-                                          seg_or.value().size()));
-    engine->wal_old_bytes_ += seg_valid_bytes;
-    const uint64_t seq = std::stoull(seg_path.substr(seg_path.rfind('.') + 1));
-    engine->next_wal_segment_ = std::max(engine->next_wal_segment_, seq + 1);
-  }
-
-  const std::string wal_path = Db::WalPath(dir);
-  size_t wal_valid_bytes = 0;
-  std::vector<size_t> wal_entry_offsets;
-  auto replay_or = WalReader::ReadAll(wal_path, &wal_valid_bytes,
-                                      &wal_entry_offsets);
-  if (!replay_or.ok()) return replay_or.status();
-  // Active log: cut at the start of the batch holding the first dangling
-  // pointer (suffix drop — all acked-durable entries had their vlog bytes
-  // synced first, so only an unacknowledged tail can dangle). A batch
-  // replays whole or not at all, so the entries before the dangling one
-  // in its batch are cut too; no sync acknowledged any of them.
-  size_t wal_keep = replay_or.value().size();
-  for (size_t i = 0; i < replay_or.value().size(); ++i) {
-    if (vlog_dangles(replay_or.value()[i])) {
-      wal_valid_bytes = wal_entry_offsets[i];
-      wal_keep = i;
-      while (wal_keep > 0 &&
-             wal_entry_offsets[wal_keep - 1] == wal_valid_bytes) {
-        --wal_keep;
-      }
-      break;
-    }
-  }
-  LSMSSD_RETURN_IF_ERROR(replay_records(replay_or.value(), wal_keep));
-
-  // The log's intact prefix stays (a crash before the next checkpoint
-  // must replay it again), but a torn tail is cut off *before* new
-  // appends — an entry written behind a tear would be unreachable on the
-  // next replay.
-  if (FileSizeOrZero(wal_path) > wal_valid_bytes) {
-    if (::truncate(wal_path.c_str(), static_cast<off_t>(wal_valid_bytes)) !=
-        0) {
-      return Errno("truncate torn WAL tail " + wal_path);
-    }
-  }
-  auto writer_or = engine->MakeWalWriter(wal_path);
+  LSMSSD_RETURN_IF_ERROR(engine->ReplayWal(wal_segments, vlog.get()));
+  auto writer_or = engine->MakeWalWriter(Db::WalPath(dir));
   if (!writer_or.ok()) return writer_or.status();
   engine->wal_ = std::move(writer_or).value();
-  engine->wal_recovered_bytes_ = wal_valid_bytes;
-
-  if (engine->vlog_on_) {
-    // The head segment may carry bytes past every durable reference —
-    // orphan entries whose WAL frames were lost, or a torn half-entry
-    // from a sync crash. Truncate it to the durable frontier so no
-    // unreferenced byte survives recovery; sealed segments keep orphan
-    // *whole* entries (they are dead, GC reclaims them with the segment).
-    uint64_t head_frontier = 0;
-    if (auto it = vlog_frontier.find(vlog_last); it != vlog_frontier.end()) {
-      head_frontier = it->second;
-    }
-    if (vm.head_file == vlog_last) {
-      head_frontier = std::max(head_frontier, vm.head_offset);
-    }
-    const std::string head_path = Db::VlogSegmentPath(dir, vlog_last);
-    if (FileSizeOrZero(head_path) > head_frontier &&
-        ::truncate(head_path.c_str(),
-                   static_cast<off_t>(head_frontier)) != 0) {
-      return Errno("truncate vlog head " + head_path);
-    }
-    for (uint64_t n = vm.tail_file; n <= vlog_last; ++n) {
-      if (n != vlog_last && vlog_sizes.find(n) == vlog_sizes.end()) {
-        continue;  // Never referenced (checked above) and absent: skip.
-      }
-      auto file_or = engine->MakeVlogFile(n, /*writable=*/n == vlog_last);
-      if (!file_or.ok()) return file_or.status();
-      engine->vlog_files_[n] = std::move(file_or).value();
-    }
-    engine->vlog_head_file_ = vlog_last;
-    engine->vlog_head_offset_ = head_frontier;
-    engine->vlog_head_ = engine->vlog_files_[vlog_last].get();
-  }
+  if (vlog != nullptr) LSMSSD_RETURN_IF_ERROR(vlog->FinishRecovery());
+  engine->value_log_ = std::move(vlog);
 
   if ((dbopts.background_checkpoint && dbopts.checkpoint_wal_bytes > 0) ||
       dbopts.scrub_interval_ms > 0 ||
-      (engine->vlog_on_ && dbopts.vlog_gc_ratio > 0)) {
+      (engine->value_log_ != nullptr && dbopts.vlog_gc_ratio > 0)) {
     engine->maintenance_ = std::thread(&Engine::MaintenanceLoop, engine.get());
   }
   if (dbopts.background_compaction) {
@@ -396,17 +217,71 @@ StatusOr<std::unique_ptr<WalWriter>> Engine::MakeWalWriter(
   return WalWriter::Open(path);
 }
 
-StatusOr<std::shared_ptr<VlogFile>> Engine::MakeVlogFile(uint64_t n,
-                                                     bool writable) const {
-  auto base_or = PosixVlogFile::Open(Db::VlogSegmentPath(dir_, n));
-  if (!base_or.ok()) return base_or.status();
-  // Only the head is appended, so only it needs the injected page-cache
-  // model; sealed segments are fully durable and read straight through.
-  if (writable && dbopts_.fault_injector != nullptr) {
-    return std::shared_ptr<VlogFile>(std::make_shared<FaultInjectionVlogFile>(
-        std::move(base_or).value(), dbopts_.fault_injector));
+Status Engine::ReplayWal(const std::vector<std::string>& segments,
+                         ValueLog* vlog) {
+  // Rotated segments exist when a checkpoint's manifest write crashed
+  // after rotating the log. Blind-write semantics make replay safe even
+  // over a manifest that already holds a prefix of it. Each entry is
+  // applied like a commit and drained like an inline writer: the
+  // compaction thread starts only after recovery. Rotation renames only a
+  // fully synced log, vlog first, so a torn tail or a dangling pointer in
+  // a segment lost durable data; in the active log both are a crash's
+  // unacknowledged tail. Batches behind the cut are still read, so a
+  // valid batch after a bad one stays Corruption.
+  std::vector<std::string> logs = segments;
+  logs.push_back(Db::WalPath(dir_));
+  for (const std::string& path : logs) {
+    const bool rotated = path != logs.back();
+    std::optional<size_t> cut;
+    size_t valid_bytes = 0;
+    LSMSSD_RETURN_IF_ERROR(WalReader::ForEachBatch(
+        path,
+        [&](size_t offset, const std::vector<Record>& batch) -> Status {
+          if (cut) return Status::OK();
+          if (vlog != nullptr && !vlog->AdmitReplayedBatch(batch)) {
+            if (rotated) {
+              return Status::Corruption("rotated WAL segment " + path +
+                                        " references lost vlog bytes");
+            }
+            cut = offset;
+            return Status::OK();
+          }
+          for (const Record& r : batch) {
+            Status st = r.is_tombstone() ? tree_->DeleteNoMerge(r.key)
+                                         : tree_->PutNoMerge(r.key, r.payload);
+            if (st.IsInvalidArgument()) {
+              // A checksummed entry the tree rejects means the log lied
+              // about its own contents.
+              return Status::Corruption("WAL replay: " + st.message());
+            }
+            LSMSSD_RETURN_IF_ERROR(st);
+            LSMSSD_RETURN_IF_ERROR(DrainCompactionLocked());
+            ++recovery_replayed_;
+          }
+          return Status::OK();
+        },
+        &valid_bytes));
+    if (!rotated) {
+      // The intact prefix stays (a crash before the next checkpoint must
+      // replay it again), but the tail is cut off *before* new appends,
+      // which would be unreachable behind it on the next replay.
+      wal_recovered_bytes_ = cut.value_or(valid_bytes);
+      const auto keep = static_cast<off_t>(wal_recovered_bytes_);
+      if (FileSizeOrZero(path) > wal_recovered_bytes_ &&
+          ::truncate(path.c_str(), keep) != 0) {
+        return Errno("truncate torn WAL tail " + path);
+      }
+      break;
+    }
+    if (valid_bytes < FileSizeOrZero(path)) {
+      return Status::Corruption("rotated WAL segment " + path +
+                                " has a torn tail");
+    }
+    wal_old_bytes_ += valid_bytes;
+    const uint64_t seq = std::stoull(path.substr(path.rfind('.') + 1));
+    next_wal_segment_ = std::max(next_wal_segment_, seq + 1);
   }
-  return std::shared_ptr<VlogFile>(std::move(base_or).value());
+  return Status::OK();
 }
 
 void Engine::Close() {
@@ -424,13 +299,12 @@ void Engine::Close() {
   }
   comp_cv_.notify_one();
   if (compaction_.joinable()) compaction_.join();
-  // Best-effort final sync: writes out the commit buffer. Value bytes
-  // before the pointers that reference them, as everywhere. A failed
-  // engine writes nothing more, like a crashed process.
+  // Best-effort final sync of the commit buffer, vlog head first. A
+  // failed engine writes nothing more, like a crashed process.
   std::unique_lock<std::mutex> lk(db_mu_);
   sync_cv_.wait(lk, [this] { return !sync_in_progress_; });
   if (failed()) return;
-  if (vlog_head_ != nullptr) (void)vlog_head_->Sync();
+  if (value_log_ != nullptr) (void)value_log_->head()->Sync();
   if (wal_ != nullptr) (void)wal_->Sync();
 }
 
@@ -497,8 +371,10 @@ Status Engine::ApplyLocked(RecordType type, Key key, std::string_view payload,
   // the record ever occupies carry the pointer, so merges move O(pointer)
   // bytes per record no matter how large the value.
   char pointer[kVlogPointerSize];
-  if (vlog_on_ && type == RecordType::kPut) {
-    LSMSSD_RETURN_IF_ERROR(VlogAppendLocked(key, payload, pointer));
+  if (value_log_ != nullptr && type == RecordType::kPut) {
+    if (Status st = value_log_->Append(key, payload, pointer); !st.ok()) {
+      return FailLocked(std::move(st));
+    }
     payload = std::string_view(pointer, kVlogPointerSize);
   }
 
@@ -528,18 +404,13 @@ Status Engine::ApplyLocked(RecordType type, Key key, std::string_view payload,
   }
 
   if (!dbopts_.background_compaction) {
-    // Inline mode: no compaction thread, so this writer runs the
-    // compaction steps itself. Only durability errors poison the engine.
-    // The record is already WAL-logged and in memory; what failed is a
-    // compaction step, which aborts atomically and leaves the tree intact
-    // (the next op retries the drain):
-    //   - ResourceExhausted: the device hit max_device_blocks. Surface
-    //     it as write backpressure — the caller can checkpoint, free
-    //     capacity, or raise the cap, and writers make progress again.
-    //   - Corruption: the merge touched a damaged block, now
-    //     quarantined. Reads and writes of healthy ranges keep working.
-    // Anything else (an I/O error mid-merge, an internal invariant
-    // breach) is a durability failure and poisons.
+    // Inline mode: this writer runs the compaction steps itself. The
+    // record is already logged and in memory; a failed step aborts
+    // atomically and the next op retries the drain. ResourceExhausted
+    // (the device hit max_device_blocks) is write backpressure the caller
+    // can relieve; Corruption (a merge touched a damaged block, now
+    // quarantined) leaves healthy ranges working. Anything else (an I/O
+    // error mid-merge, an invariant breach) poisons the engine.
     if (Status st = DrainCompactionLocked(); !st.ok()) {
       if (st.code() == StatusCode::kResourceExhausted) {
         ++backpressure_events_;
@@ -588,43 +459,6 @@ Status Engine::ApplyLocked(RecordType type, Key key, std::string_view payload,
   return Status::OK();
 }
 
-Status Engine::VlogAppendLocked(Key key, std::string_view value,
-                                char* pointer) {
-  if (vlog_head_offset_ >= dbopts_.vlog_segment_bytes) {
-    LSMSSD_RETURN_IF_ERROR(RollVlogLocked());
-  }
-  vlog::EncodeEntry(key, value, &vlog_entry_);
-  if (Status st = vlog_head_->Append(vlog_entry_); !st.ok()) {
-    return FailLocked(std::move(st));
-  }
-  VlogPointer ptr;
-  ptr.file = static_cast<uint32_t>(vlog_head_file_);
-  ptr.offset = vlog_head_offset_;
-  ptr.length = static_cast<uint32_t>(value.size());
-  vlog_head_offset_ += vlog_entry_.size();
-  vlog_bytes_appended_ += vlog_entry_.size();
-  EncodeVlogPointer(ptr, pointer);
-  return Status::OK();
-}
-
-Status Engine::RollVlogLocked() {
-  // Seal with an fsync so sealed segments are never torn: recovery can
-  // treat any short/garbled tail as damage, and the head-only truncation
-  // below (Open) stays sound.
-  if (Status st = vlog_head_->Sync(); !st.ok()) {
-    return FailLocked(std::move(st));
-  }
-  auto file_or = MakeVlogFile(vlog_head_file_ + 1, /*writable=*/true);
-  if (!file_or.ok()) return FailLocked(file_or.status());
-  ++vlog_head_file_;
-  vlog_head_offset_ = 0;
-  std::lock_guard<std::mutex> vlk(vlog_mu_);
-  auto& slot = vlog_files_[vlog_head_file_];
-  slot = std::move(file_or).value();
-  vlog_head_ = slot.get();
-  return Status::OK();
-}
-
 Status Engine::WalRoundLocked(std::unique_lock<std::mutex>& lk, bool sync) {
   LSMSSD_CHECK(!sync_in_progress_);
   // Claim everything appended so far, then write it with one write() and
@@ -638,7 +472,8 @@ Status Engine::WalRoundLocked(std::unique_lock<std::mutex>& lk, bool sync) {
   const uint64_t cover = seq_appended_;
   if (sync) sync_target_ = std::max(sync_target_, cover);
   wal_->SealBatch();
-  VlogFile* vlog_head = sync ? vlog_head_ : nullptr;
+  VlogFile* vlog_head =
+      sync && value_log_ != nullptr ? value_log_->head() : nullptr;
   lk.unlock();
   Status st = vlog_head != nullptr ? vlog_head->Sync() : Status::OK();
   if (st.ok()) st = wal_->WriteBatch(sync);
@@ -786,27 +621,27 @@ Status Engine::DrainCompactionLocked() {
     SealActiveMemtableLocked();
   }
   for (;;) {
-    const auto t0 = Clock::now();
     auto step = LsmTree::CompactStep::kNone;
-    bool popped = false;
-    Status st = RunOneCompactionStep(&step, &popped);
-    RecordCompactionStep(st, step, popped, MicrosSince(t0));
+    Status st = RunOneCompactionStep(&step);
     if (!st.ok() || step == LsmTree::CompactStep::kNone) return st;
   }
 }
 
-void Engine::RecordCompactionStep(const Status& st, LsmTree::CompactStep step,
-                              bool popped, uint64_t micros) {
+Status Engine::RunOneCompactionStep(LsmTree::CompactStep* step) {
+  const auto t0 = Clock::now();
+  bool popped = false;
+  Status st = PlanAndRunStep(step, &popped);
   std::lock_guard<std::mutex> clk(comp_mu_);
-  compaction_micros_ += micros;
+  compaction_micros_ += MicrosSince(t0);
   if (st.ok()) {
     compaction_error_ = Status::OK();  // Progress clears a wedge.
-    if (step == LsmTree::CompactStep::kFlush) ++background_flushes_;
-    if (step == LsmTree::CompactStep::kMerge) ++background_merges_;
+    if (*step == LsmTree::CompactStep::kFlush) ++background_flushes_;
+    if (*step == LsmTree::CompactStep::kMerge) ++background_merges_;
     if (popped) --sealed_queued_;
   } else {
     compaction_error_ = st;
   }
+  return st;
 }
 
 void Engine::CompactionLoop() {
@@ -820,12 +655,39 @@ void Engine::CompactionLoop() {
     compaction_scheduled_ = false;
     compaction_running_ = true;
     clk.unlock();
-    RunCompactionSteps();
+    Status err;
+    while (!failed()) {
+      auto step = LsmTree::CompactStep::kNone;
+      Status st = RunOneCompactionStep(&step);
+      // After *every* step — progress or error — wake stalled writers: a
+      // pop freed a queue slot; an error must be surfaced, not waited out.
+      stall_cv_.notify_all();
+      if (!st.ok()) {
+        err = st;
+        break;
+      }
+      if (step == LsmTree::CompactStep::kNone) break;
+    }
+    clk.lock();
+    compaction_running_ = false;
+    clk.unlock();
+    stall_cv_.notify_all();
+    // ResourceExhausted and Corruption are retryable backpressure
+    // (exactly as for an inline writer's drain); anything else is a
+    // durability failure. The error was published under comp_mu_ FIRST:
+    // a stalled writer (which holds db_mu_!) wakes, returns, and releases
+    // db_mu_ — only then can this FailLocked proceed. Taking db_mu_
+    // before publishing would deadlock.
+    if (!err.ok() && err.code() != StatusCode::kResourceExhausted &&
+        !err.IsCorruption()) {
+      std::unique_lock<std::mutex> lk(db_mu_);
+      (void)FailLocked(std::move(err));
+    }
     clk.lock();
   }
 }
 
-Status Engine::RunOneCompactionStep(LsmTree::CompactStep* step, bool* popped) {
+Status Engine::PlanAndRunStep(LsmTree::CompactStep* step, bool* popped) {
   // The plan reads the sealed queue, which writers push onto under
   // mem_mu_, and the L0 buffer and levels, which change only in this
   // function: mem_mu_ shared is enough, and the plan still holds when
@@ -854,41 +716,6 @@ Status Engine::RunOneCompactionStep(LsmTree::CompactStep* step, bool* popped) {
   return Status::OK();
 }
 
-void Engine::RunCompactionSteps() {
-  Status err;
-  while (!failed()) {
-    const auto t0 = Clock::now();
-    auto step = LsmTree::CompactStep::kNone;
-    bool popped = false;
-    Status st = RunOneCompactionStep(&step, &popped);
-    RecordCompactionStep(st, step, popped, MicrosSince(t0));
-    // After *every* step — progress or error — wake stalled writers: a
-    // pop freed a queue slot; an error must be surfaced, not waited out.
-    stall_cv_.notify_all();
-    if (!st.ok()) {
-      err = st;
-      break;
-    }
-    if (step == LsmTree::CompactStep::kNone) break;
-  }
-  {
-    std::lock_guard<std::mutex> clk(comp_mu_);
-    compaction_running_ = false;
-  }
-  stall_cv_.notify_all();
-  // ResourceExhausted and Corruption are retryable backpressure (exactly
-  // as for an inline writer's drain); anything else is a durability
-  // failure. The error was published under comp_mu_ FIRST: a stalled
-  // writer (which holds db_mu_!) wakes, returns, and releases db_mu_ —
-  // only then can this FailLocked proceed. Taking db_mu_ before
-  // publishing would deadlock.
-  if (!err.ok() && err.code() != StatusCode::kResourceExhausted &&
-      !err.IsCorruption()) {
-    std::unique_lock<std::mutex> lk(db_mu_);
-    (void)FailLocked(std::move(err));
-  }
-}
-
 Status Engine::WaitForCompaction() {
   if (!dbopts_.background_compaction) return Status::OK();
   std::unique_lock<std::mutex> clk(comp_mu_);
@@ -912,51 +739,42 @@ std::optional<StatusOr<std::string>> Engine::TryGet(Key key) {
 
 std::optional<StatusOr<std::string>> Engine::GetImpl(Key key, bool try_only) {
   if (failed()) return FailedStatus();
-  // try_only ends the lookup with nullopt wherever it would wait: on the
-  // value log (every value found in vlog mode is a pointer, and resolving
-  // it reads a segment file), on a lock held exclusive or with a writer
-  // queued for it (SharedMutex is writer-preferring), and on a block
-  // outside the buffer cache.
-  if (try_only && vlog_on_) return std::nullopt;
-  auto acquire = [try_only](std::shared_lock<SharedMutex>& l) {
-    if (try_only) return l.try_lock();
-    l.lock();
-    return true;
-  };
+  // try_only ends the lookup with nullopt wherever it would wait: on a
+  // vlog read (every value found in vlog mode is a pointer), on a lock
+  // held or wanted exclusive, and on a block outside the buffer cache.
+  if (try_only && value_log_ != nullptr) return std::nullopt;
   std::shared_lock<SharedMutex> tlk(tree_mu_, std::defer_lock);
-  if (!acquire(tlk)) return std::nullopt;
-  // In vlog mode the pointer must be resolved before the read locks drop:
-  // holding mem_mu_ shared through the whole lookup keeps a GC rewrite
-  // (which commits under mem_mu_ exclusive) from superseding the pointer
-  // — and therefore keeps a checkpoint from unlinking its segment —
-  // between the tree probe and the vlog read.
+  if (!Acquire(tlk, try_only)) return std::nullopt;
+  // In vlog mode mem_mu_ stays shared through the whole lookup: a GC
+  // rewrite (committed under mem_mu_ exclusive) cannot supersede the
+  // pointer — so no checkpoint can unlink its segment — before the read.
   std::shared_lock<SharedMutex> mlk(mem_mu_, std::defer_lock);
-  if (vlog_on_) mlk.lock();
+  if (value_log_ != nullptr) mlk.lock();
+  auto stored = FindStoredLocked(key, try_only, mlk.owns_lock());
+  if (value_log_ == nullptr || !stored->ok()) return stored;
+  std::string value;
+  LSMSSD_RETURN_IF_ERROR(value_log_->Resolve(stored->value(), key, &value));
+  return value;
+}
 
+std::optional<StatusOr<std::string>> Engine::FindStoredLocked(
+    Key key, bool try_only, bool mem_held) {
   // The memtable probe needs mem_mu_ (writers mutate the active memtable
   // without tree_mu_); the level walk below runs under tree_mu_ alone,
-  // off the writers' locks — except in vlog mode, where mlk already pins
-  // mem_mu_ for the whole lookup (above).
-  std::optional<StatusOr<std::string>> stored;
+  // off the writers' locks.
   {
     std::shared_lock<SharedMutex> probe(mem_mu_, std::defer_lock);
-    if (!mlk.owns_lock() && !acquire(probe)) return std::nullopt;
+    if (!mem_held && !Acquire(probe, try_only)) return std::nullopt;
     if (const Record* r = tree_->FindInMemtables(key)) {
       if (r->is_tombstone()) return Status::NotFound("deleted");
-      stored = r->payload;
+      return r->payload;
     }
   }
-  if (!stored) {
-    // The check and the walk share this tree_mu_ hold, so the levels
-    // cannot change between them; only another reader's cache insert can
-    // evict a checked block in that window, costing the walk one read.
-    if (try_only && tree_->GetFromLevelsReadsDevice(key)) return std::nullopt;
-    stored = tree_->GetFromLevels(key);
-  }
-  if (!vlog_on_ || !stored->ok()) return stored;
-  std::string value;
-  LSMSSD_RETURN_IF_ERROR(ResolveVlogValue(stored->value(), key, &value));
-  return value;
+  // The check and the walk share the caller's tree_mu_ hold, so the
+  // levels cannot change between them; only another reader's cache insert
+  // can evict a checked block in that window, costing the walk one read.
+  if (try_only && tree_->GetFromLevelsReadsDevice(key)) return std::nullopt;
+  return tree_->GetFromLevels(key);
 }
 
 std::unique_ptr<Iterator> Engine::NewIterator() const {
@@ -968,17 +786,11 @@ std::unique_ptr<Iterator> Engine::NewIterator() const {
   std::shared_lock<SharedMutex> mlk(mem_mu_);
   auto base = tree_->NewIterator();
   if (base == nullptr) return nullptr;
-  auto snap = std::make_unique<SnapshotIterator>(std::move(tlk),
-                                                 std::move(mlk),
-                                                 std::move(base));
-  if (!vlog_on_) return snap;
-  // The snapshot's locks pin the tree state the pointers came from, so
-  // value() resolves against segments no GC can reclaim mid-iteration.
-  return std::make_unique<VlogResolvingIterator>(
-      std::move(snap), [this](std::string_view stored, Key key,
-                              std::string* out) {
-        return ResolveVlogValue(stored, key, out);
-      });
+  // In vlog mode the locks also pin the tree state the pointers came
+  // from, so value() resolves against segments no GC can reclaim
+  // mid-iteration.
+  return std::make_unique<SnapshotIterator>(std::move(tlk), std::move(mlk),
+                                            std::move(base), value_log_.get());
 }
 
 Status Engine::SyncWal() {
@@ -1061,16 +873,12 @@ Status Engine::CheckpointBodyLocked(std::unique_lock<std::mutex>& lk) {
     // the L0 buffer and the sealed queue, which a concurrent flush step
     // mutates under mem_mu_ alone — tree_mu_ no longer covers them.
     std::shared_lock<SharedMutex> mlk(mem_mu_);
-    if (vlog_on_) {
-      // The vlog frontier is durable: step 1 synced the head before the
-      // WAL, and db_mu_ has been held since, so head/offset still match
-      // the fsynced file. Publishing pending_tail_ here makes the GC'd
-      // range reclaimable only after this manifest lands (step 5b).
-      VlogManifestState vstate;
-      vstate.head_file = vlog_head_file_;
-      vstate.head_offset = vlog_head_offset_;
-      vstate.tail_file = vlog_pending_tail_;
-      vlog_publish_tail = vlog_pending_tail_;
+    if (value_log_ != nullptr) {
+      // Step 1 synced the vlog head before the WAL under this db_mu_
+      // hold, so the frontier is durable. The GC'd range it publishes is
+      // reclaimed only after this manifest lands (step 5b).
+      const VlogManifestState vstate = value_log_->ManifestState();
+      vlog_publish_tail = vstate.tail_file;
       manifest_data = EncodeManifest(*tree_, vstate);
     } else {
       manifest_data = EncodeManifest(*tree_);
@@ -1105,12 +913,8 @@ Status Engine::CheckpointBodyLocked(std::unique_lock<std::mutex>& lk) {
   //     unlink them. A crash before this leaks nothing: recovery reads
   //     the published tail and deletes everything below it (blind
   //     re-unlink, ENOENT-tolerant).
-  if (vlog_on_ && vlog_publish_tail > vlog_tail_file_) {
-    if (injector != nullptr && injector->Step()) {
-      return FailLocked(
-          Status::IoError("injected fault: crash before vlog segment unlink"));
-    }
-    if (Status vst = VlogDropBelowLocked(vlog_publish_tail); !vst.ok()) {
+  if (value_log_ != nullptr) {
+    if (Status vst = value_log_->DropBelow(vlog_publish_tail); !vst.ok()) {
       return FailLocked(std::move(vst));
     }
   }
@@ -1129,7 +933,7 @@ Status Engine::CheckpointBodyLocked(std::unique_lock<std::mutex>& lk) {
 void Engine::MaintenanceLoop() {
   std::unique_lock<std::mutex> lk(db_mu_);
   const bool scrub_enabled = dbopts_.scrub_interval_ms > 0;
-  const bool auto_gc = vlog_on_ && dbopts_.vlog_gc_ratio > 0;
+  const bool auto_gc = value_log_ != nullptr && dbopts_.vlog_gc_ratio > 0;
   for (;;) {
     if (scrub_enabled || auto_gc) {
       // Wake early for explicit work; a timeout is a scrub/GC tick.
@@ -1161,14 +965,14 @@ void Engine::MaintenanceLoop() {
         continue;
       }
     }
-    if (auto_gc && VlogGcWantedLocked()) {
+    if (auto_gc && value_log_->GcWanted([this] {
+          std::shared_lock<SharedMutex> tlk(tree_mu_);
+          std::shared_lock<SharedMutex> mlk(mem_mu_);
+          return tree_->TotalRecords();
+        })) {
       // One sealed segment per tick keeps the pause bounded; the next
-      // tick re-evaluates the garbage ratio. The checkpoint publishes the
-      // advanced tail so the reclaimed segment is actually deleted.
-      if (VlogGcSegmentLocked(lk).ok() && !failed() &&
-          vlog_pending_tail_ > vlog_tail_file_) {
-        (void)CheckpointLocked(lk);
-      }
+      // tick re-evaluates the garbage ratio.
+      (void)CollectVlogLocked(lk, value_log_->pending_tail() + 1);
       if (failed()) continue;
     }
     if (scrub_enabled) ScrubTickLocked(lk);
@@ -1181,50 +985,28 @@ void Engine::ScrubTickLocked(std::unique_lock<std::mutex>& lk) {
   // matter how often the set changes between ticks.
   std::vector<BlockId> blocks = CurrentTreeBlocks();
   std::sort(blocks.begin(), blocks.end());
-  std::vector<BlockId> batch;
-  const size_t batch_cap =
-      dbopts_.scrub_batch_blocks > 0 ? dbopts_.scrub_batch_blocks : 1;
-  for (auto it = std::upper_bound(blocks.begin(), blocks.end(), scrub_cursor_);
-       it != blocks.end() && batch.size() < batch_cap; ++it) {
-    batch.push_back(*it);
-  }
+  const auto first =
+      std::upper_bound(blocks.begin(), blocks.end(), scrub_cursor_);
+  const auto n = static_cast<ptrdiff_t>(std::min<uint64_t>(
+      blocks.end() - first, std::max<uint64_t>(dbopts_.scrub_batch_blocks, 1)));
+  const std::vector<BlockId> batch(first, first + n);
   if (batch.empty()) {
     scrub_cursor_ = 0;  // End of a pass; the next tick starts over.
     return;
   }
   scrub_cursor_ = batch.back();
 
+  (void)VerifyBlocksLocked(lk, batch);
+}
+
+Status Engine::VerifyBlocksLocked(std::unique_lock<std::mutex>& lk,
+                                  const std::vector<BlockId>& blocks) {
   // The I/O runs off db_mu_, under the shared tree lock (scrubbing is a
   // reader). Blocks freed by a merge in the window between snapshot and
   // verification report NotFound and are simply skipped.
   lk.unlock();
   uint64_t verified = 0, corrupt = 0;
-  {
-    std::shared_lock<SharedMutex> tlk(tree_mu_);
-    for (BlockId id : batch) {
-      Status st = pinned_->VerifyBlock(id);
-      if (st.ok()) {
-        ++verified;
-      } else if (st.IsCorruption()) {
-        ++corrupt;  // Quarantined by PinnedBlockDevice::VerifyBlock.
-      }
-    }
-  }
-  lk.lock();
-  scrub_blocks_verified_ += verified;
-  scrub_corruptions_ += corrupt;
-}
-
-Status Engine::Scrub() {
-  std::vector<BlockId> blocks;
-  {
-    std::unique_lock<std::mutex> lk(db_mu_);
-    if (failed()) return FailedStatus();
-    blocks = CurrentTreeBlocks();
-  }
-  std::sort(blocks.begin(), blocks.end());
-
-  uint64_t verified = 0, corrupt = 0;
+  Status transport;
   {
     std::shared_lock<SharedMutex> tlk(tree_mu_);
     for (BlockId id : blocks) {
@@ -1232,17 +1014,16 @@ Status Engine::Scrub() {
       if (st.ok()) {
         ++verified;
       } else if (st.IsCorruption()) {
-        ++corrupt;
-      } else if (!st.IsNotFound()) {
-        return st;  // Transport-level failure: surface it.
+        ++corrupt;  // Quarantined by PinnedBlockDevice::VerifyBlock.
+      } else if (!st.IsNotFound() && transport.ok()) {
+        transport = std::move(st);
       }
     }
   }
-  {
-    std::unique_lock<std::mutex> lk(db_mu_);
-    scrub_blocks_verified_ += verified;
-    scrub_corruptions_ += corrupt;
-  }
+  lk.lock();
+  scrub_blocks_verified_ += verified;
+  scrub_corruptions_ += corrupt;
+  LSMSSD_RETURN_IF_ERROR(transport);
   if (corrupt > 0) {
     return Status::Corruption("scrub found " + std::to_string(corrupt) +
                               " corrupt block(s); see quarantine in Stats()");
@@ -1250,179 +1031,54 @@ Status Engine::Scrub() {
   return Status::OK();
 }
 
-Status Engine::ResolveVlogValue(std::string_view stored, Key key,
-                            std::string* out) const {
-  VlogPointer ptr;
-  if (!DecodeVlogPointer(stored, &ptr)) {
-    return Status::Corruption("malformed vlog pointer for key " +
-                              std::to_string(key));
-  }
-  std::shared_ptr<VlogFile> file;
-  {
-    std::lock_guard<std::mutex> vlk(vlog_mu_);
-    if (vlog_quarantine_.count({ptr.file, ptr.offset}) != 0) {
-      return Status::Corruption(
-          "vlog segment " + std::to_string(ptr.file) + " entry at offset " +
-          std::to_string(ptr.offset) + " is quarantined");
-    }
-    auto it = vlog_files_.find(ptr.file);
-    if (it == vlog_files_.end()) {
-      return Status::Corruption("pointer into unknown vlog segment " +
-                                std::to_string(ptr.file));
-    }
-    file = it->second;
-  }
-  Status st = vlog::ReadEntry(file.get(), ptr.offset, key, ptr.length, out);
-  if (st.IsCorruption()) {
-    // Quarantine the single damaged entry — the engine keeps serving every
-    // other key (mirroring block quarantine: damage is data-local, not
-    // instance-fatal).
-    std::lock_guard<std::mutex> vlk(vlog_mu_);
-    if (vlog_quarantine_.insert({ptr.file, ptr.offset}).second) {
-      vlog_quarantined_entries_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return Status::Corruption("vlog segment " + std::to_string(ptr.file) +
-                              ": " + st.message());
-  }
-  return st;
-}
-
-bool Engine::VlogGcWantedLocked() const {
-  if (vlog_pending_tail_ >= vlog_head_file_) return false;  // Head only.
-  uint64_t total = vlog_head_offset_;
-  {
-    std::lock_guard<std::mutex> vlk(vlog_mu_);
-    for (uint64_t n = vlog_pending_tail_; n < vlog_head_file_; ++n) {
-      auto it = vlog_files_.find(n);
-      if (it != vlog_files_.end()) total += it->second->size();
-    }
-  }
-  if (total == 0) return false;
-  uint64_t records = 0;
-  {
-    std::shared_lock<SharedMutex> tlk(tree_mu_);
-    std::shared_lock<SharedMutex> mlk(mem_mu_);
-    records = tree_->TotalRecords();
-  }
-  // Conservative live floor: every live key stores exactly one entry of
-  // header + payload_size bytes; anything beyond that is dead weight
-  // (superseded versions, orphans, tombstoned values).
-  const uint64_t live =
-      records * (vlog::kEntryHeaderSize + tree_->options().payload_size);
-  if (live >= total) return false;
-  return static_cast<double>(total - live) >=
-         dbopts_.vlog_gc_ratio * static_cast<double>(total);
-}
-
-Status Engine::VlogGcSegmentLocked(std::unique_lock<std::mutex>& lk) {
-  const uint64_t seg = vlog_pending_tail_;
-  if (!vlog_on_ || seg >= vlog_head_file_) return Status::OK();
-  std::shared_ptr<VlogFile> file;
-  {
-    std::lock_guard<std::mutex> vlk(vlog_mu_);
-    auto it = vlog_files_.find(seg);
-    if (it == vlog_files_.end()) {
-      // Never created (or never referenced) — nothing to rewrite.
-      vlog_pending_tail_ = seg + 1;
-      return Status::OK();
-    }
-    file = it->second;
-  }
-
-  // Scan off the commit lock — the segment is sealed and immutable. Each
-  // entry is probed and (when live) rewritten under one continuous db_mu_
-  // hold, so no writer can slip between the liveness check and the
-  // re-append. "Live" means the tree's newest version of the key is a put
-  // whose stored payload is exactly this entry's pointer; anything else —
-  // overwritten, deleted, or an orphan whose WAL frame never became
-  // durable — is dead and simply not carried forward.
-  uint64_t rewrites = 0;
-  lk.unlock();
-  uint64_t intact_end = 0;
-  Status scan_st = vlog::ScanEntries(
-      file.get(), 0,
-      [&](const vlog::EntryInfo& info, const std::string& value) -> Status {
-        VlogPointer ptr;
-        ptr.file = static_cast<uint32_t>(seg);
-        ptr.offset = info.offset;
-        ptr.length = info.length;
-        const std::string want = EncodeVlogPointerToString(ptr);
-        std::unique_lock<std::mutex> inner(db_mu_);
-        if (failed()) return FailedStatus();
-        bool live = false;
-        {
-          std::shared_lock<SharedMutex> tlk(tree_mu_);
-          bool probed = false;
-          {
-            std::shared_lock<SharedMutex> mlk(mem_mu_);
-            if (const Record* r = tree_->FindInMemtables(info.key)) {
-              live = !r->is_tombstone() && r->payload == want;
-              probed = true;
-            }
-          }
-          if (!probed) {
-            auto cur = tree_->GetFromLevels(info.key);
-            live = cur.ok() && cur.value() == want;
-          }
-        }
-        if (!live) return Status::OK();
-        LSMSSD_RETURN_IF_ERROR(
-            ApplyLocked(RecordType::kPut, info.key, value, inner));
-        ++rewrites;
-        return Status::OK();
-      },
-      &intact_end);
-  lk.lock();
-  LSMSSD_RETURN_IF_ERROR(scan_st);
+Status Engine::Scrub() {
+  std::unique_lock<std::mutex> lk(db_mu_);
   if (failed()) return FailedStatus();
-  if (intact_end != file->size()) {
-    // Sealed segments were fsynced whole at roll time; a short scan means
-    // real damage. Refuse to advance the tail over bytes that may still
-    // hold the only copy of a live value.
-    return Status::Corruption("vlog segment " + std::to_string(seg) +
-                              " has unreadable entries; GC refused");
-  }
-  vlog_gc_rewrites_ += rewrites;
-  vlog_pending_tail_ = seg + 1;
-  return Status::OK();
+  std::vector<BlockId> blocks = CurrentTreeBlocks();
+  std::sort(blocks.begin(), blocks.end());
+  return VerifyBlocksLocked(lk, blocks);
 }
 
-Status Engine::VlogDropBelowLocked(uint64_t tail) {
-  for (uint64_t n = vlog_tail_file_; n < tail; ++n) {
-    const std::string path = Db::VlogSegmentPath(dir_, n);
-    if (::unlink(path.c_str()) != 0 && errno != ENOENT) {
-      return Errno("unlink vlog segment " + path);
-    }
-    ++vlog_segments_reclaimed_;
+Status Engine::CollectVlogLocked(std::unique_lock<std::mutex>& lk,
+                                 uint64_t stop) {
+  while (value_log_->pending_tail() < stop) {
+    // Each entry is probed and (when live) rewritten under one db_mu_
+    // hold, so no writer slips between the check and the re-append.
+    // Anything the tree does not point at — overwritten, deleted, or an
+    // orphan whose WAL frame never became durable — is dead.
+    LSMSSD_RETURN_IF_ERROR(value_log_->CollectOldest(
+        lk, [&](Key key, const std::string& value,
+                std::string_view pointer) -> StatusOr<bool> {
+          std::unique_lock<std::mutex> inner(db_mu_);
+          if (failed()) return FailedStatus();
+          {
+            std::shared_lock<SharedMutex> tlk(tree_mu_);
+            const auto cur = FindStoredLocked(key, /*try_only=*/false,
+                                              /*mem_held=*/false);
+            if (!cur->ok() || cur->value() != pointer) return false;
+          }
+          LSMSSD_RETURN_IF_ERROR(
+              ApplyLocked(RecordType::kPut, key, value, inner));
+          return true;
+        }));
+    if (failed()) return FailedStatus();
   }
-  std::lock_guard<std::mutex> vlk(vlog_mu_);
-  for (uint64_t n = vlog_tail_file_; n < tail; ++n) vlog_files_.erase(n);
-  for (auto it = vlog_quarantine_.begin();
-       it != vlog_quarantine_.end() && it->first < tail;) {
-    it = vlog_quarantine_.erase(it);
+  // Publish the new tail (and delete the reclaimed segments) now; a crash
+  // before this checkpoint re-runs the GC, which converges.
+  if (value_log_->pending_tail() > value_log_->tail_file()) {
+    return CheckpointLocked(lk);
   }
-  vlog_tail_file_ = tail;
   return Status::OK();
 }
 
 Status Engine::CompactVlog() {
-  if (!vlog_on_) return Status::OK();
+  if (value_log_ == nullptr) return Status::OK();
   std::unique_lock<std::mutex> lk(db_mu_);
   if (failed()) return FailedStatus();
   // One pass over the segments sealed *now*: rewrites land in the
   // current head (or its successors), which stays out of this pass —
   // chasing the moving head would re-copy every live value forever.
-  const uint64_t stop = vlog_head_file_;
-  while (vlog_pending_tail_ < stop) {
-    LSMSSD_RETURN_IF_ERROR(VlogGcSegmentLocked(lk));
-    if (failed()) return FailedStatus();
-  }
-  if (vlog_pending_tail_ > vlog_tail_file_) {
-    // Publish the new tail (and delete the reclaimed segments) now; a
-    // crash before this checkpoint re-runs the GC, which converges.
-    LSMSSD_RETURN_IF_ERROR(CheckpointLocked(lk));
-  }
-  return Status::OK();
+  return CollectVlogLocked(lk, value_log_->head_file());
 }
 
 void Engine::SetMaxDeviceBlocks(uint64_t max_blocks) {
@@ -1501,14 +1157,7 @@ DbStats Engine::Stats() const {
   s.scrub_blocks_verified = scrub_blocks_verified_;
   s.scrub_corruptions_found = scrub_corruptions_;
   s.write_backpressure_events = backpressure_events_;
-  if (vlog_on_) {
-    s.vlog_segments = vlog_head_file_ - vlog_tail_file_ + 1;
-    s.vlog_bytes_appended = vlog_bytes_appended_;
-    s.vlog_gc_rewrites = vlog_gc_rewrites_;
-    s.vlog_segments_reclaimed = vlog_segments_reclaimed_;
-    s.vlog_quarantined_entries =
-        vlog_quarantined_entries_.load(std::memory_order_relaxed);
-  }
+  if (value_log_ != nullptr) value_log_->AddStats(&s);
   {
     std::lock_guard<std::mutex> clk(comp_mu_);
     s.memtables_sealed = memtables_sealed_;

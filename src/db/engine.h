@@ -3,11 +3,9 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -16,7 +14,6 @@
 
 #include "src/db/pinned_block_device.h"
 #include "src/format/options.h"
-#include "src/format/vlog_pointer.h"
 #include "src/lsm/iterator.h"
 #include "src/lsm/lsm_tree.h"
 #include "src/lsm/wal.h"
@@ -24,7 +21,6 @@
 #include "src/storage/fault_injection.h"
 #include "src/storage/fault_injection_block_device.h"
 #include "src/storage/file_block_device.h"
-#include "src/storage/vlog_file.h"
 #include "src/storage/io_stats.h"
 #include "src/util/histogram.h"
 #include "src/util/shared_mutex.h"
@@ -32,6 +28,8 @@
 #include "src/util/statusor.h"
 
 namespace lsmssd {
+
+class ValueLog;
 
 /// When WAL appends are written and fsynced. An append only encodes the
 /// entry into an in-memory commit buffer; the buffer reaches the file as
@@ -221,8 +219,7 @@ struct DbStats {
 
   uint64_t shards = 1;  ///< Engines summed into these counters.
 
-  // Value log (all zero when key–value separation is off; the ToString
-  // summary omits the vlog line entirely in that case).
+  // Value log (all zero, and no ToString line, when separation is off).
   uint64_t vlog_segments = 0;         ///< Segments in [tail, head] right now.
   uint64_t vlog_bytes_appended = 0;   ///< Entry bytes appended since open.
   uint64_t vlog_gc_rewrites = 0;      ///< Live entries GC re-appended.
@@ -233,35 +230,24 @@ struct DbStats {
   std::string ToString() const;
 };
 
-/// One durable LSM engine over one directory: a FileBlockDevice
-/// (`blocks.dev`), a write-ahead log (`wal.log`, plus rotated
-/// `wal.old.<n>` segments while a checkpoint is in flight), a checkpoint
-/// (`MANIFEST`), optional value-log segments (`vlog-<n>`), and the
-/// LsmTree wired over them, with its compaction thread and scrubber.
-/// Applications reach it through Db (src/db/db.h), which routes keys
-/// over 1..N engines; LsmTree stays the policy-research core underneath.
+/// One durable LSM engine over one directory. It owns the FileBlockDevice
+/// (`blocks.dev`) and its PinnedBlockDevice, the write-ahead log
+/// (`wal.log`, plus rotated `wal.old.<n>` segments while a checkpoint is
+/// in flight) with its group commit, the checkpoint (`MANIFEST`), the
+/// LsmTree wired over them, the compaction step runner and its thread,
+/// and the maintenance thread (checkpoints, scrub, vlog GC ticks). The
+/// value-log segments (`vlog-<n>`), when key–value separation is on,
+/// belong to a ValueLog (src/db/value_log.h) it drives under its commit
+/// lock. Applications reach it through Db (src/db/db.h), which routes
+/// keys over 1..N engines; LsmTree stays the research core underneath.
 ///
-/// Lifecycle:
-///   * Open creates the directory or auto-recovers an existing one:
-///     load MANIFEST -> LsmTree::Restore -> replay every rotated WAL
-///     segment in order, then the active WAL tail (tolerating a torn
-///     final entry in the active log only).
-///   * Every Put/Delete is WAL-appended *before* it is applied, then
-///     fsynced per WalSyncMode.
-///   * A checkpoint (manual, or automatic once the live WAL exceeds
-///     DbOptions::checkpoint_wal_bytes) syncs the WAL, *rotates* it
-///     (rename to wal.old.<n>, fresh empty wal.log), publishes the
-///     manifest atomically (tmp + fsync + rename + dir fsync), deletes
-///     the rotated segments it covers, and recycles block slots whose
-///     free had been deferred (see PinnedBlockDevice). Rotation — rather
-///     than truncation — is what lets writers keep appending while the
-///     manifest is being written.
-///
-/// Thread-safety: safe for concurrent use. Reads (Get/NewIterator) run
-/// under a shared tree lock; Put/Delete serialize through a commit lock
-/// with cross-thread group commit; automatic checkpoints run on a
-/// background maintenance thread by default. See DESIGN.md, "Threading
-/// model", for the lock hierarchy and protocols.
+/// Open recovers: MANIFEST -> LsmTree::Restore -> WAL replay. Every
+/// Put/Delete is WAL-appended *before* it is applied, then fsynced per
+/// WalSyncMode. A checkpoint (manual, or once the live WAL exceeds
+/// DbOptions::checkpoint_wal_bytes) syncs and *rotates* the WAL, so
+/// writers keep appending while it publishes the manifest, then deletes
+/// the rotated segments. Safe for concurrent use; DESIGN.md §7 has the
+/// lock hierarchy and protocols.
 ///
 /// After any durability error (including injected faults) the engine
 /// enters a failed state and refuses further operations; reopening the
@@ -320,12 +306,11 @@ class Engine {
   /// tripped.
   Status Apply(RecordType type, Key key, std::string_view payload);
 
-  /// One group-commit round, led by the caller (requires db_mu_ held via
-  /// `lk` and no round in flight): claims every appended entry, then with
-  /// db_mu_ released writes the commit buffer with one write() and, when
-  /// `sync`, syncs the vlog head and fsyncs the WAL. Every WAL write runs
-  /// in such a round, one round at a time, so file order is append
-  /// order. Poisons and returns the error on failure.
+  /// One group-commit round, led by the caller (db_mu_ held via `lk`, no
+  /// round in flight): claims every appended entry, then with db_mu_
+  /// released writes the commit buffer with one write() and, when `sync`,
+  /// syncs the vlog head and fsyncs the WAL. Every WAL write runs in such
+  /// a round, one at a time. Poisons and returns the error on failure.
   Status WalRoundLocked(std::unique_lock<std::mutex>& lk, bool sync);
 
   /// Blocks until every entry up to `target` is covered by a successful
@@ -355,16 +340,17 @@ class Engine {
   Status CheckpointBodyLocked(std::unique_lock<std::mutex>& lk);
 
   /// Background maintenance thread: runs auto-checkpoints requested by
-  /// writers — and, when scrub_interval_ms > 0, periodic scrub batches —
-  /// until Close().
+  /// writers, periodic scrub batches and vlog GC ticks until Close().
   void MaintenanceLoop();
 
   /// The compaction thread's body (background mode only): sleeps on
   /// comp_cv_ until a writer seals a memtable (or the cap is raised),
-  /// then runs RunCompactionSteps. Deliberately NOT the maintenance
-  /// thread: that one parks on db_mu_, and a hard-stalled writer waits for
-  /// compaction progress *while holding db_mu_* — a thread that needed
-  /// db_mu_ to wake could then never run.
+  /// then runs one step at a time until there is no work, waking stalled
+  /// writers after every step. Runs WITHOUT db_mu_ (a hard-stalled writer
+  /// waits for compaction progress *while holding it*, which is why this
+  /// is not the maintenance thread); takes db_mu_ only to poison the
+  /// engine on a durability error, after publishing the error under
+  /// comp_mu_ so the stalled writer can wake and release db_mu_ first.
   void CompactionLoop();
 
   // ---- Background compaction (see DESIGN.md, "Compaction scheduling
@@ -390,39 +376,39 @@ class Engine {
   /// the drain.
   Status DrainCompactionLocked();
 
-  /// Publishes one finished step under comp_mu_: counters, queue depth,
-  /// step time, and the sticky compaction_error_ (cleared by progress).
-  void RecordCompactionStep(const Status& st, LsmTree::CompactStep step,
-                            bool popped, uint64_t micros);
+  /// The one step runner of both modes: runs PlanAndRunStep, timed, and
+  /// publishes the result under comp_mu_ (counters, queue depth, step
+  /// time, and the sticky compaction_error_, which progress clears).
+  Status RunOneCompactionStep(LsmTree::CompactStep* step);
 
-  /// The compaction thread's drain: runs one step at a time until there
-  /// is no work, updating the comp_mu_ counters and waking stalled
-  /// writers after every step. Runs WITHOUT db_mu_ (a stalled writer
-  /// holds it); takes db_mu_ only to poison the engine on a durability
-  /// error, after publishing the error under comp_mu_ so the stalled
-  /// writer can wake and release db_mu_ first.
-  void RunCompactionSteps();
+  /// Plans once (LsmTree::PlanCompaction) and acts once: a flush under
+  /// mem_mu_ exclusive only (pure memory), a merge out of the plan's
+  /// source under tree_mu_ exclusive only, so writers keep appending
+  /// through it. Leaves `*step` at kNone when there is no work. The
+  /// caller must be the only step driver (the compaction thread, or an
+  /// inline drain under db_mu_): the L0 buffer and the levels change only
+  /// here, so the plan stays valid until it is acted on.
+  Status PlanAndRunStep(LsmTree::CompactStep* step, bool* popped);
 
-  /// The one step runner of both modes: plans once
-  /// (LsmTree::PlanCompaction) and acts once. A flush runs under mem_mu_
-  /// exclusive only (pure memory, no tree lock); a merge out of the
-  /// plan's source runs under tree_mu_ exclusive only, so writers keep
-  /// appending to the active memtable through it. Leaves `*step` at kNone
-  /// when there is no work. Requires that the caller is the only step
-  /// driver (the compaction thread, or an inline drain under db_mu_): the
-  /// L0 buffer and the levels change only here, so the plan stays valid
-  /// between reading it and acting on it.
-  Status RunOneCompactionStep(LsmTree::CompactStep* step, bool* popped);
-
-  /// One background scrub batch: picks the next scrub_batch_blocks live
-  /// blocks after the round-robin cursor and verifies them under the
-  /// shared tree lock (db_mu_ released during the I/O). `lk` must hold
-  /// db_mu_; reacquired before returning.
+  /// One background scrub batch: verifies the next scrub_batch_blocks
+  /// live blocks after the round-robin cursor. `lk` must hold db_mu_.
   void ScrubTickLocked(std::unique_lock<std::mutex>& lk);
 
+  /// Verifies `blocks` under the shared tree lock with db_mu_ (held via
+  /// `lk`) released, and counts the verdicts; blocks freed meanwhile are
+  /// skipped. Returns the first transport error, else Corruption when a
+  /// block failed its checksum.
+  Status VerifyBlocksLocked(std::unique_lock<std::mutex>& lk,
+                            const std::vector<BlockId>& blocks);
+
+  /// WAL replay in Open: every rotated segment, then the active log, one
+  /// batch at a time, each first offered to `vlog` (null when off). A torn
+  /// or dangling rotated segment is Corruption; the active log is cut at
+  /// the start of its first torn or dangling batch.
+  Status ReplayWal(const std::vector<std::string>& segments, ValueLog* vlog);
+
   /// tmp + fsync + rename + dir-fsync, with injected crash points.
-  /// Called *without* db_mu_ held (it only touches dir_ and the
-  /// injector).
+  /// Called *without* db_mu_ held.
   Status WriteManifestAtomically(const std::string& data);
   /// Block ids referenced by the live tree (the next manifest's pin set).
   /// Requires db_mu_ (tree structure is stable under it).
@@ -432,54 +418,24 @@ class Engine {
   StatusOr<std::unique_ptr<WalWriter>> MakeWalWriter(
       const std::string& path) const;
 
-  // ---- Value log (DESIGN.md §11; all no-ops unless
-  // Options::vlog_enabled()) ---------------------------------------------
-
-  /// Opens vlog segment `n` for append+read, wrapping it for fault
-  /// injection when `writable` (the head — reads of sealed segments never
-  /// consult the injector).
-  StatusOr<std::shared_ptr<VlogFile>> MakeVlogFile(uint64_t n,
-                                                   bool writable) const;
-  /// Appends `value` to the head vlog segment (rolling it first if over
-  /// vlog_segment_bytes) and writes the 16-byte pointer the WAL and tree
-  /// carry instead to `pointer[0, kVlogPointerSize)`. Requires db_mu_;
-  /// runs before the WAL append so a WAL-durable pointer always has vlog
-  /// bytes behind it (modulo the sync-ordering window recovery handles).
-  Status VlogAppendLocked(Key key, std::string_view value, char* pointer);
-  /// Seals the current head segment (fsync, so sealed segments are never
-  /// torn) and starts `vlog-<head+1>`. Requires db_mu_.
-  Status RollVlogLocked();
-  /// Resolves a stored 16-byte pointer payload to the user value via the
-  /// segment reader map. A checksum/shape mismatch quarantines the entry
-  /// (further reads keep failing fast) and returns Corruption naming it —
-  /// the engine is NOT poisoned; the damage is one value, not the instance.
-  Status ResolveVlogValue(std::string_view stored, Key key,
-                          std::string* out) const;
-  /// Get's body. With `try_only` set it neither waits nor reads a file:
-  /// it returns nullopt when tree_mu_ or mem_mu_ is held exclusive or has
-  /// a writer waiting for it, when the level walk may read a block
-  /// outside the buffer cache, and always in vlog mode. Without it, it
-  /// always returns a value.
+  /// Get's body. With `try_only` it neither waits nor reads a file: it
+  /// returns nullopt where a lock would block, where the level walk may
+  /// read a block outside the buffer cache, and always in vlog mode.
   std::optional<StatusOr<std::string>> GetImpl(Key key, bool try_only);
-  /// The WAL-append + tree-apply body of Apply (payload is the user
-  /// value); factored out so GC can rewrite entries under its held lock.
+  /// The stored payload of `key` (a pointer in vlog mode): memtables
+  /// first, then levels. Requires tree_mu_ shared; takes mem_mu_ shared
+  /// for the memtable probe unless `mem_held`. With `try_only`, nullopt
+  /// where it would wait or read a block outside the buffer cache.
+  std::optional<StatusOr<std::string>> FindStoredLocked(Key key,
+                                                        bool try_only,
+                                                        bool mem_held);
+  /// Apply's body under db_mu_, which GC's rewrites share.
   Status ApplyLocked(RecordType type, Key key, std::string_view payload,
                      std::unique_lock<std::mutex>& lk);
-  /// GC of one sealed segment: scan it (off-lock; sealed segments are
-  /// immutable), re-Put every entry the tree still points at, then
-  /// advance the pending tail over it. The segment is only deleted after
-  /// a checkpoint publishes the new tail — a crash at any step before
-  /// that leaves it in place and GC simply re-runs. `lk` must hold
-  /// db_mu_; released during the scan.
-  Status VlogGcSegmentLocked(std::unique_lock<std::mutex>& lk);
-  /// Auto-GC trigger: estimated dead fraction of the log >= vlog_gc_ratio,
-  /// using TotalRecords * entry-size as a conservative live-byte floor
-  /// (every live key stores exactly one entry). Requires db_mu_.
-  bool VlogGcWantedLocked() const;
-  /// Unlinks segments below `tail` and drops their readers (after the
-  /// manifest recording `tail` is durable). Requires db_mu_.
-  Status VlogDropBelowLocked(uint64_t tail);
-
+  /// Vlog GC up to segment `stop`: collects every sealed segment below it
+  /// (re-Putting each entry whose pointer the tree still stores), then
+  /// checkpoints to publish the advanced tail.
+  Status CollectVlogLocked(std::unique_lock<std::mutex>& lk, uint64_t stop);
   /// Marks the instance failed, wakes every waiter, and passes `st`
   /// through. Requires db_mu_ held.
   Status FailLocked(Status st);
@@ -496,39 +452,19 @@ class Engine {
   std::unique_ptr<PinnedBlockDevice> pinned_;
   std::unique_ptr<LsmTree> tree_;
   std::unique_ptr<WalWriter> wal_;  ///< Active log; swapped at rotation.
+  /// Null unless the tree's options enable key–value separation. Its
+  /// writer side runs under db_mu_, in commit order before the WAL
+  /// append; its readers take only the value log's own leaf lock.
+  std::unique_ptr<ValueLog> value_log_;
 
-  // ---- Concurrency (lock hierarchy: db_mu_ -> tree_mu_ -> mem_mu_ ->
-  // comp_mu_; any prefix may be skipped, the order never reversed) ------
-  //
-  // db_mu_   commit lock: WAL append order == tree apply order, group-
-  //          commit state, checkpoint state, counters. Released while a
-  //          leader fsyncs and while a checkpoint writes the manifest.
-  // tree_mu_ on-SSD tree + device-metadata lock: Get/iterators/scrubs hold
-  //          it shared; level mutations and deferred-free recycling hold
-  //          it exclusive. Writers never take it for their apply; the
-  //          step runner (the compaction thread, or an inline-mode
-  //          writer's drain) takes it exclusive for one merge step per
-  //          hold. Writer-preferring so tight read loops cannot starve
-  //          commits (std::shared_mutex on glibc would).
-  // mem_mu_  memory-resident state lock: the active memtable's contents,
-  //          the sealed-queue structure, and flush absorption into the
-  //          tree's L0 buffer (a flush step runs entirely under mem_mu_
-  //          exclusive, never tree_mu_ — pure memory, so it overlaps an
-  //          in-flight merge). Writers hold it exclusive for the
-  //          in-memory apply and for sealing; readers hold it shared for
-  //          the memtable probe (and for an iterator's whole lifetime).
-  //          This is the split that takes merges off the write path: a
-  //          writer's apply needs only db_mu_ + mem_mu_, a merge step
-  //          needs tree_mu_. The L0 buffer's contents are mutated only by
-  //          the one step runner, under mem_mu_ exclusive (flush) or
-  //          tree_mu_ exclusive (L0 spill); readers snapshotting it hold
-  //          tree_mu_ AND mem_mu_ shared.
-  // comp_mu_ leaf lock (never held while acquiring any other): compaction
-  //          queue depth, the compaction thread's scheduled/running
-  //          flags, seal/step/stall/throttle counters. Guards stall_cv_,
-  //          on which stalled writers wait *while holding db_mu_* — which
-  //          is why the compaction thread must not touch db_mu_ between
-  //          steps.
+  // ---- Concurrency. Lock order db_mu_ -> tree_mu_ -> mem_mu_ -> comp_mu_
+  // (any prefix may be skipped, the order never reversed); DESIGN.md §7
+  // tabulates what each one guards. db_mu_ is the commit lock; tree_mu_
+  // guards the on-SSD tree, mem_mu_ the memtables and the L0 buffer's
+  // flush absorption; comp_mu_ is a leaf guarding compaction state and
+  // stall_cv_, on which stalled writers wait *holding db_mu_* — so the
+  // compaction thread never touches db_mu_ between steps. The value
+  // log's lock is a leaf too.
   mutable std::mutex db_mu_;
   mutable SharedMutex tree_mu_;
   mutable SharedMutex mem_mu_;
@@ -551,7 +487,7 @@ class Engine {
   // Compaction state (under comp_mu_).
   size_t sealed_queued_ = 0;      ///< Sealed memtables awaiting drain.
   bool compaction_scheduled_ = false;  ///< Kicked, drain not started yet.
-  bool compaction_running_ = false;    ///< Inside RunCompactionSteps.
+  bool compaction_running_ = false;    ///< CompactionLoop is draining.
   bool stop_compaction_ = false;  ///< Tells CompactionLoop to exit.
   /// Sticky compaction error (ResourceExhausted/Corruption): surfaced to
   /// writers that must seal, cleared by a later successful step or by
@@ -592,31 +528,6 @@ class Engine {
   uint64_t backpressure_events_ = 0;
   BlockId scrub_cursor_ = 0;  ///< Background scrub resumes after this id.
 
-  // ---- Value log state (empty/zero when key–value separation is off).
-  // Writer-side fields are under db_mu_ (vlog appends happen in commit
-  // order, before the WAL append). The segment reader map and the
-  // quarantine set are under vlog_mu_, a leaf lock readers take without
-  // db_mu_ — Get resolves pointers under the shared tree locks only.
-  bool vlog_on_ = false;              ///< tree options' vlog_enabled().
-  uint64_t vlog_head_file_ = 0;       ///< Segment being appended.
-  uint64_t vlog_head_offset_ = 0;     ///< Append end within the head.
-  uint64_t vlog_tail_file_ = 0;       ///< Manifest-published tail.
-  uint64_t vlog_pending_tail_ = 0;    ///< GC-advanced, awaiting publish.
-  VlogFile* vlog_head_ = nullptr;     ///< Borrowed from vlog_files_.
-  std::string vlog_entry_;            ///< Reused entry encode buffer.
-  uint64_t vlog_bytes_appended_ = 0;
-  uint64_t vlog_gc_rewrites_ = 0;
-  uint64_t vlog_segments_reclaimed_ = 0;
-
-  mutable std::mutex vlog_mu_;  ///< Leaf lock (never held acquiring others).
-  /// Every open segment in [tail, head], shared so a reader holding one
-  /// across an unlink keeps a valid fd (POSIX keeps the data alive).
-  mutable std::map<uint64_t, std::shared_ptr<VlogFile>> vlog_files_;
-  /// (segment, offset) of entries that failed verification; kept failing
-  /// fast instead of re-reading damaged bytes. Cleared when GC reclaims
-  /// the segment.
-  mutable std::set<std::pair<uint64_t, uint64_t>> vlog_quarantine_;
-  mutable std::atomic<uint64_t> vlog_quarantined_entries_{0};
 };
 
 }  // namespace lsmssd

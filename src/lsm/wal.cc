@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string_view>
 
@@ -91,9 +92,11 @@ bool HasValidBatchAfter(std::string_view data, size_t from) {
   return false;
 }
 
-/// Appends the entries of one checksum-valid batch body to `records`.
-/// False when the body does not parse: the log lied about its contents.
+/// Replaces `records` with the entries of one checksum-valid batch body,
+/// reusing the elements (and their payload buffers) already there. False
+/// when the body does not parse: the log lied about its contents.
 bool DecodeBatch(std::string_view body, std::vector<Record>* records) {
+  size_t n = 0;
   size_t p = 0;
   while (p < body.size()) {
     const auto tag = static_cast<uint8_t>(body[p++]);
@@ -115,12 +118,14 @@ bool DecodeBatch(std::string_view body, std::vector<Record>* records) {
       if ((byte & 0x80) == 0) break;
     }
     if (body.size() - p < length) return false;
-    Record& record = records->emplace_back();
+    if (n == records->size()) records->emplace_back();
+    Record& record = (*records)[n++];
     record.type = static_cast<RecordType>(type);
     record.key = key;
     record.payload.assign(body.data() + p, length);
     p += length;
   }
+  records->resize(n);
   return true;
 }
 
@@ -233,18 +238,16 @@ Status WalWriter::Truncate() {
   return file_->Truncate();
 }
 
-StatusOr<std::vector<Record>> WalReader::ReadAll(
-    const std::string& path, size_t* valid_bytes,
-    std::vector<size_t>* entry_offsets) {
+Status WalReader::ForEachBatch(const std::string& path, const BatchFn& fn,
+                               size_t* valid_bytes) {
   if (valid_bytes != nullptr) *valid_bytes = 0;
-  if (entry_offsets != nullptr) entry_offsets->clear();
   std::string data;
-  if (!ReadFile(path, &data)) return std::vector<Record>{};
+  if (!ReadFile(path, &data)) return Status::OK();
 
   bool have_header = false;
   LSMSSD_RETURN_IF_ERROR(CheckFileHeader(data, path, &have_header));
-  std::vector<Record> records;
-  if (!have_header) return records;  // Empty, or a torn first write.
+  if (!have_header) return Status::OK();  // Empty, or a torn first write.
+  std::vector<Record> batch;
   size_t pos = kFileHeaderSize;
   while (pos < data.size()) {
     const size_t length = ValidBatchLength(data, pos);
@@ -261,19 +264,30 @@ StatusOr<std::vector<Record>> WalReader::ReadAll(
       }
       break;  // Torn tail.
     }
-    const size_t first = records.size();
     if (!DecodeBatch(std::string_view(data).substr(pos + kBatchHeaderSize,
                                                    length),
-                     &records)) {
+                     &batch)) {
       return Status::Corruption("WAL batch at offset " + std::to_string(pos) +
                                 " of " + path + " has a malformed entry");
     }
-    if (entry_offsets != nullptr) {
-      entry_offsets->insert(entry_offsets->end(), records.size() - first, pos);
-    }
+    LSMSSD_RETURN_IF_ERROR(fn(pos, batch));
     pos += kBatchHeaderSize + length;
   }
   if (valid_bytes != nullptr) *valid_bytes = pos;
+  return Status::OK();
+}
+
+StatusOr<std::vector<Record>> WalReader::ReadAll(const std::string& path,
+                                                 size_t* valid_bytes) {
+  std::vector<Record> records;
+  LSMSSD_RETURN_IF_ERROR(ForEachBatch(
+      path,
+      [&records](size_t, std::vector<Record>& batch) {
+        records.insert(records.end(), std::make_move_iterator(batch.begin()),
+                       std::make_move_iterator(batch.end()));
+        return Status::OK();
+      },
+      valid_bytes));
   return records;
 }
 

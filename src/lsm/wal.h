@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -27,7 +28,7 @@ namespace lsmssd {
 ///     manifest includes), SaveManifestToFile(tree, ...), then
 ///     Truncate();
 ///   * on restart: LsmTree::Restore(manifest, ...), then replay
-///     WalReader::ReadAll() in order.
+///     WalReader::ForEachBatch() in order.
 ///
 /// On-disk format (v2). A log is an 8-byte file header followed by
 /// batches, one per group-commit write:
@@ -138,25 +139,30 @@ class WalWriter {
 /// Reads a WAL back; tolerant of a torn tail.
 class WalReader {
  public:
-  /// Returns the entries of all whole, checksum-valid batches in append
-  /// order. A missing or empty file yields an empty vector (nothing to
-  /// replay), and so does a file holding only a prefix of the file
-  /// header (a crash during the first write). A bad batch at the end of
-  /// the log is the expected tear from a crash mid-write and is dropped
-  /// whole; a bad batch *followed by* a valid one is mid-file corruption
-  /// of possibly-synced data and yields `Corruption` instead of silently
-  /// discarding the batches behind it. A log without the v2 file header
-  /// yields `Corruption` (see CheckHeader). When `valid_bytes` is
-  /// non-null it receives the byte length of the intact prefix (file
-  /// header plus whole batches) — recovery must truncate the file to it
-  /// before appending new batches, or they would land unreachable behind
-  /// the torn tail. When `entry_offsets` is non-null it receives, for
-  /// each returned entry, the byte offset of the batch that holds it —
-  /// vlog recovery cuts the log at the start of the first batch holding
-  /// a value pointer past the durable vlog frontier (DESIGN.md §11).
-  static StatusOr<std::vector<Record>> ReadAll(
-      const std::string& path, size_t* valid_bytes = nullptr,
-      std::vector<size_t>* entry_offsets = nullptr);
+  /// Called once per whole, checksum-valid batch, in append order, with
+  /// the byte offset of the batch's header and its entries, in a buffer
+  /// the reader reuses for the next batch (the visitor may move them
+  /// out). A non-OK return stops the read with it.
+  using BatchFn =
+      std::function<Status(size_t offset, std::vector<Record>& batch)>;
+
+  /// Visits the batches of the log at `path`, holding the file bytes and
+  /// one decoded batch at a time. A missing or empty file, or one holding
+  /// a prefix of the file header (a crash during the first write), visits
+  /// nothing. A bad batch at the end of the log is the expected tear from
+  /// a crash mid-write and is dropped whole; a bad batch *followed by* a
+  /// valid one is mid-file corruption of possibly-synced data and yields
+  /// `Corruption` (after the batches before it were visited). A log
+  /// without the v2 file header yields `Corruption` (see CheckHeader).
+  /// `valid_bytes`, when non-null, receives the byte length of the intact
+  /// prefix (file header plus whole batches): recovery truncates the file
+  /// to it, or new batches would land unreachable behind the torn tail.
+  static Status ForEachBatch(const std::string& path, const BatchFn& fn,
+                             size_t* valid_bytes = nullptr);
+
+  /// The entries of every batch ForEachBatch visits, in append order.
+  static StatusOr<std::vector<Record>> ReadAll(const std::string& path,
+                                               size_t* valid_bytes = nullptr);
 
   /// Checks only the file header: OK for a missing or empty log, a v2
   /// log, or a prefix of the v2 header; `Corruption` naming the format

@@ -99,14 +99,6 @@ Status PosixVlogFile::ReadAt(uint64_t offset, size_t n, std::string* out) {
   return Status::OK();
 }
 
-Status PosixVlogFile::Truncate(uint64_t new_size) {
-  if (::ftruncate(fd_, static_cast<off_t>(new_size)) != 0) {
-    return Errno("ftruncate vlog " + path_);
-  }
-  size_.store(new_size, std::memory_order_relaxed);
-  return Status::OK();
-}
-
 Status FaultInjectionVlogFile::Append(std::string_view data) {
   if (injector_->tripped()) return Dead();
   if (injector_->Step()) {

@@ -62,12 +62,6 @@ class PosixVlogFile : public VlogFile {
     return size_.load(std::memory_order_relaxed);
   }
 
-  const std::string& path() const { return path_; }
-
-  /// Truncates the file to `new_size` (recovery drops torn/orphan tail
-  /// bytes before the writer continues).
-  Status Truncate(uint64_t new_size);
-
  private:
   PosixVlogFile(std::string path, int fd, uint64_t size)
       : path_(std::move(path)), fd_(fd), size_(size) {}

@@ -229,13 +229,17 @@ TEST(DbVlogTest, DanglingPointerCutsItsWholeWalBatch) {
     ASSERT_TRUE(db.Put(2, MakePayload(dbopts.options, 2)).ok());
     ASSERT_TRUE(db.Put(3, MakePayload(dbopts.options, 3)).ok());
   }  // Clean close: batch 2 holds keys 2 and 3.
-  size_t wal_bytes = 0;
   std::vector<size_t> offsets;
-  auto records = WalReader::ReadAll(Db::WalPath(dir), &wal_bytes, &offsets);
-  ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records->size(), 3u);
-  ASSERT_NE(offsets[0], offsets[1]);
-  ASSERT_EQ(offsets[1], offsets[2]);
+  std::vector<size_t> sizes;
+  ASSERT_TRUE(WalReader::ForEachBatch(Db::WalPath(dir),
+                                      [&](size_t offset,
+                                          const std::vector<Record>& batch) {
+                                        offsets.push_back(offset);
+                                        sizes.push_back(batch.size());
+                                        return Status::OK();
+                                      })
+                  .ok());
+  ASSERT_EQ(sizes, (std::vector<size_t>{1, 2}));
   const size_t batch2 = offsets[1];
   // Lose the tail of key 3's vlog entry; key 2's stays intact.
   const std::string head = Db::VlogSegmentPath(dir, 0);
@@ -262,6 +266,33 @@ TEST(DbVlogTest, DanglingPointerCutsItsWholeWalBatch) {
   EXPECT_TRUE(reopened.value()->Get(1).ok());
   EXPECT_TRUE(reopened.value()->Get(2).status().IsNotFound());
   EXPECT_TRUE(reopened.value()->Get(4).ok());
+}
+
+TEST(DbVlogTest, RotatedSegmentWithLostVlogBytesFailsOpen) {
+  // Rotation renames only a fully synced log, vlog first, so a pointer
+  // in a rotated segment that reaches past its vlog bytes is lost
+  // durable data: Open refuses with Corruption (and tears down the
+  // half-recovered engine cleanly) instead of cutting the log.
+  const std::string dir = FreshDir("rotated_dangle");
+  const DbOptions dbopts = TinyVlogOptions();
+  {
+    auto db_or = Db::Open(dbopts, dir);
+    ASSERT_TRUE(db_or.ok());
+    for (Key k = 0; k < 3; ++k) {
+      ASSERT_TRUE(db_or.value()->Put(k, MakePayload(dbopts.options, k)).ok());
+    }
+  }  // Clean close: every entry synced, no checkpoint.
+  ASSERT_EQ(::rename(Db::WalPath(dir).c_str(),
+                     Db::WalSegmentPath(dir, 1).c_str()),
+            0);
+  const std::string head = Db::VlogSegmentPath(dir, 0);
+  ASSERT_EQ(::truncate(head.c_str(), static_cast<off_t>(3 * kEntryBytes - 1)),
+            0);
+  auto db_or = Db::Open(dbopts, dir);
+  ASSERT_TRUE(db_or.status().IsCorruption()) << db_or.status().ToString();
+  EXPECT_NE(db_or.status().message().find("lost vlog bytes"),
+            std::string::npos)
+      << db_or.status().ToString();
 }
 
 TEST(DbVlogTest, GcReclaimsDeadSegmentsAndKeepsEveryLiveValue) {

@@ -395,20 +395,62 @@ TEST(WalTest, TornLogRecoversExactlyTheWholeBatchesBeforeTheCut) {
       ++whole;
     }
     size_t valid = 0;
-    std::vector<size_t> offsets;
-    auto records = WalReader::ReadAll(path, &valid, &offsets);
+    auto records = WalReader::ReadAll(path, &valid);
     ASSERT_TRUE(records.ok()) << records.status().ToString();
     EXPECT_EQ(records.value(), FirstBatches(log, whole));
     const size_t want_valid =
         whole > 0 ? log.batch_ends[whole - 1] : (cut >= 8 ? 8 : 0);
     EXPECT_EQ(valid, want_valid);
+    std::vector<size_t> offsets;
+    std::vector<std::vector<Record>> batches;
+    ASSERT_TRUE(WalReader::ForEachBatch(
+                    path,
+                    [&](size_t offset, const std::vector<Record>& batch) {
+                      offsets.push_back(offset);
+                      batches.push_back(batch);
+                      return Status::OK();
+                    })
+                    .ok());
+    ASSERT_EQ(batches.size(), whole);
     std::vector<size_t> want_offsets;
     for (size_t b = 0; b < whole; ++b) {
-      const size_t start = b == 0 ? 8 : log.batch_ends[b - 1];
-      want_offsets.insert(want_offsets.end(), log.batches[b].size(), start);
+      want_offsets.push_back(b == 0 ? 8 : log.batch_ends[b - 1]);
+      EXPECT_EQ(batches[b], log.batches[b]) << "batch " << b;
     }
     EXPECT_EQ(offsets, want_offsets);
   }
+  ::unlink(path.c_str());
+}
+
+TEST(WalTest, ForEachBatchStopsAtTheVisitorsErrorAndAtMidFileCorruption) {
+  const std::string path = WalPath("visit");
+  const BatchedLog log = WriteThreeBatches(path);
+  size_t visited = 0;
+  Status st = WalReader::ForEachBatch(
+      path, [&](size_t, const std::vector<Record>& batch) {
+        EXPECT_EQ(batch, log.batches[visited]);
+        return ++visited == 2 ? Status::Internal("stop") : Status::OK();
+      });
+  EXPECT_EQ(st.code(), StatusCode::kInternal) << st.ToString();
+  EXPECT_EQ(visited, 2u);
+
+  // Damage the second batch: the first is visited, then the valid third
+  // batch behind the damage makes the read Corruption.
+  std::string bad = log.bytes;
+  bad[log.batch_ends[0] + 8] ^= 0x01;
+  WriteFile(path, bad);
+  visited = 0;
+  size_t valid = 1;
+  st = WalReader::ForEachBatch(
+      path,
+      [&](size_t, const std::vector<Record>&) {
+        ++visited;
+        return Status::OK();
+      },
+      &valid);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_EQ(visited, 1u);
+  EXPECT_EQ(valid, 0u);
   ::unlink(path.c_str());
 }
 
