@@ -201,6 +201,9 @@ StatusOr<std::unique_ptr<Engine>> Engine::Open(const DbOptions& dbopts,
     engine->maintenance_ = std::thread(&Engine::MaintenanceLoop, engine.get());
   }
   if (dbopts.background_compaction) {
+    // Restore puts the manifest's memory-resident records in the L0
+    // buffer, which may be over K0 with no seal coming to kick the thread.
+    engine->compaction_scheduled_ = engine->tree_->HasCompactionWork();
     engine->compaction_ = std::thread(&Engine::CompactionLoop, engine.get());
   }
   return engine;

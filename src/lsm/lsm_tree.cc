@@ -51,46 +51,50 @@ void LsmTree::set_policy(std::unique_ptr<MergePolicy> policy) {
   policy_ = std::move(policy);
 }
 
-Status LsmTree::Put(Key key, std::string_view payload) {
-  if (payload.size() != options_.stored_payload_size()) {
+Status LsmTree::LogModification(Memtable* into, Key key,
+                                const std::string_view* payload) {
+  if (payload != nullptr &&
+      payload->size() != options_.stored_payload_size()) {
     return Status::InvalidArgument("payload must be exactly payload_size");
   }
   if (key > MaxKeyForSize(options_.key_size)) {
     return Status::InvalidArgument("key does not fit in key_size bytes");
   }
-  memtable_.Put(key, std::string(payload));
-  ++stats_.puts;
-  return MaybeMerge();
+  if (payload != nullptr) {
+    into->Put(key, std::string(*payload));
+    ++stats_.puts;
+  } else {
+    into->Delete(key);
+    ++stats_.deletes;
+  }
+  return Status::OK();
 }
 
-Status LsmTree::Delete(Key key) {
-  if (key > MaxKeyForSize(options_.key_size)) {
-    return Status::InvalidArgument("key does not fit in key_size bytes");
+Status LsmTree::CommitToL0(Key key, const std::string_view* payload) {
+  if (!memtable_.empty() || !sealed_.empty()) {
+    return Status::FailedPrecondition(
+        "Put/Delete while the active memtable or sealed queue holds records");
   }
-  memtable_.Delete(key);
-  ++stats_.deletes;
-  return MaybeMerge();
+  LSMSSD_RETURN_IF_ERROR(LogModification(&l0_buffer_, key, payload));
+  for (;;) {
+    auto step = BackgroundCompactStep();
+    if (!step.ok()) return step.status();
+    if (step.value() == CompactStep::kNone) return Status::OK();
+  }
 }
+
+Status LsmTree::Put(Key key, std::string_view payload) {
+  return CommitToL0(key, &payload);
+}
+
+Status LsmTree::Delete(Key key) { return CommitToL0(key, nullptr); }
 
 Status LsmTree::PutNoMerge(Key key, std::string_view payload) {
-  if (payload.size() != options_.stored_payload_size()) {
-    return Status::InvalidArgument("payload must be exactly payload_size");
-  }
-  if (key > MaxKeyForSize(options_.key_size)) {
-    return Status::InvalidArgument("key does not fit in key_size bytes");
-  }
-  memtable_.Put(key, std::string(payload));
-  ++stats_.puts;
-  return Status::OK();
+  return LogModification(&memtable_, key, &payload);
 }
 
 Status LsmTree::DeleteNoMerge(Key key) {
-  if (key > MaxKeyForSize(options_.key_size)) {
-    return Status::InvalidArgument("key does not fit in key_size bytes");
-  }
-  memtable_.Delete(key);
-  ++stats_.deletes;
-  return Status::OK();
+  return LogModification(&memtable_, key, nullptr);
 }
 
 bool LsmTree::MemtableAtCapacity() const {
@@ -132,11 +136,11 @@ Status LsmTree::FlushSealedStep(Memtable* m) {
   // device I/O. Newest wins: `m` is newer than everything the buffer
   // already holds (it absorbed only earlier seals), so plain Put/Delete
   // overwrite is correct. Records leave memory only when the buffer
-  // itself overflows (MergeSourceStep(0)), through the same policy-
-  // windowed L0 merges Put runs against the active memtable. Draining
-  // each sealed memtable straight to L1 instead (windowed or bulk) costs
-  // 4-5x the blocks: windows pay ~one target-block rewrite per record on
-  // the ever-sparser tail, and a bulk merge rewrites the whole target.
+  // itself overflows (MergeSourceStep(0)), through policy-windowed L0
+  // merges. Draining each sealed memtable straight to L1 instead
+  // (windowed or bulk) costs 4-5x the blocks: windows pay ~one
+  // target-block rewrite per record on the ever-sparser tail, and a bulk
+  // merge rewrites the whole target.
   for (Record& r : m->ExtractAll()) {
     if (r.is_tombstone()) {
       l0_buffer_.Delete(r.key);
@@ -161,8 +165,7 @@ LsmTree::CompactPlan LsmTree::PlanCompaction() const {
   // full queue throttles the writers.
   plan.flush = !sealed_.empty() && !L0BufferBacklogged();
   // The L0 buffer is the shallowest "level": it spills a policy-selected
-  // window once it reaches K0 capacity, like Put's overflow test on the
-  // active memtable.
+  // window once it reaches K0 capacity.
   if (L0BufferOverflowing()) {
     plan.merge_source = 0;
     return plan;
@@ -177,18 +180,10 @@ LsmTree::CompactPlan LsmTree::PlanCompaction() const {
 }
 
 StatusOr<LsmTree::CompactStep> LsmTree::MergeSourceStep(size_t source) {
-  if (source == 0) {
-    if (!L0BufferOverflowing()) return CompactStep::kNone;
-    if (num_levels() == 1) AddLevel();
-    compacting_l0_ = &l0_buffer_;
-    Status st = ExecuteMerge(0);
-    compacting_l0_ = nullptr;
-    LSMSSD_RETURN_IF_ERROR(st);
-    return CompactStep::kMerge;
-  }
-  if (source >= num_levels() || !LevelOverflowing(source)) {
-    return CompactStep::kNone;
-  }
+  const bool overflowing =
+      source == 0 ? L0BufferOverflowing()
+                  : source < num_levels() && LevelOverflowing(source);
+  if (!overflowing) return CompactStep::kNone;
   if (source + 1 == num_levels()) AddLevel();
   LSMSSD_RETURN_IF_ERROR(ExecuteMerge(source));
   return CompactStep::kMerge;
@@ -279,27 +274,7 @@ Status LsmTree::Scan(Key lo, Key hi,
 }
 
 bool LsmTree::LevelOverflowing(size_t i) const {
-  if (i == 0) {
-    const uint64_t capacity_records =
-        options_.level0_capacity_blocks * options_.records_per_block();
-    return l0().size() >= capacity_records;
-  }
   return level(i).size_blocks() > LevelCapacityBlocks(i);
-}
-
-Status LsmTree::MaybeMerge() {
-  size_t i = 0;
-  while (i < num_levels()) {
-    if (!LevelOverflowing(i)) {
-      ++i;
-      continue;
-    }
-    if (i + 1 == num_levels()) AddLevel();
-    LSMSSD_RETURN_IF_ERROR(ExecuteMerge(i));
-    // Re-check the same level: a partial merge may leave it overflowing
-    // (e.g., right after a big full merge landed from above).
-  }
-  return Status::OK();
 }
 
 void LsmTree::AddLevel() {
@@ -319,15 +294,16 @@ Status LsmTree::ExecuteMerge(size_t source_level) {
                          options_.preserve_blocks);
 
   MergeSource source;
-  // L0 input is *copied* out of the memtable and erased only after the
+  // L0 input is *copied* out of the buffer and erased only after the
   // merge commits, so an aborted merge (corrupt target leaf, full device)
   // leaves L0 — and with it every not-yet-durable write — intact.
   size_t l0_erase_begin = 0;
   size_t l0_erase_count = 0;
   if (source_level == 0) {
     l0_erase_begin = sel.full ? 0 : sel.record_begin;
-    l0_erase_count = sel.full ? l0().size() : sel.record_count;
-    std::vector<Record> records = l0().Slice(l0_erase_begin, l0_erase_count);
+    l0_erase_count = sel.full ? l0_buffer_.size() : sel.record_count;
+    std::vector<Record> records =
+        l0_buffer_.Slice(l0_erase_begin, l0_erase_count);
     if (records.empty()) {
       return Status::Internal("policy selected an empty L0 range");
     }
@@ -345,7 +321,7 @@ Status LsmTree::ExecuteMerge(size_t source_level) {
 
   auto result_or = executor.Merge(std::move(source));
   if (!result_or.ok()) return result_or.status();
-  if (source_level == 0) l0().EraseRange(l0_erase_begin, l0_erase_count);
+  if (source_level == 0) l0_buffer_.EraseRange(l0_erase_begin, l0_erase_count);
   const MergeResult& r = result_or.value();
 
   stats_.EnsureLevels(num_levels());
@@ -380,8 +356,8 @@ uint64_t LsmTree::ApproximateDataBytes() const {
 Status LsmTree::CheckInvariants(bool deep) const {
   for (size_t i = 1; i < num_levels(); ++i) {
     LSMSSD_RETURN_IF_ERROR(level(i).CheckInvariants(deep));
-    // Levels exceed capacity only transiently: inside MaybeMerge, or
-    // between compaction steps, before the caller has run them to kNone.
+    // Levels exceed capacity only transiently: between compaction steps,
+    // before the caller has run them to kNone.
     if (level(i).size_blocks() > LevelCapacityBlocks(i)) {
       return Status::Internal("level above capacity at rest");
     }

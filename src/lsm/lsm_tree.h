@@ -28,8 +28,10 @@ struct Manifest;
 /// The LSM tree of the paper: a memory-resident L0 plus on-SSD levels
 /// L1..L_{h-1} with geometrically increasing capacities (K_i = K0 *
 /// Gamma^i), relaxed level storage, and pluggable merge policies
-/// (Section II). Modifications enter L0; overflowing levels are merged
-/// down by the configured policy; reads walk the levels top-down.
+/// (Section II). Modifications enter the memory-resident L0 buffer; the
+/// configured policy spills it and overflowing levels down, one
+/// compaction step (BackgroundCompactStep) at a time, whichever write
+/// path drives the tree (see below); reads walk the levels top-down.
 ///
 /// Typical usage:
 ///
@@ -55,7 +57,8 @@ class LsmTree {
       std::unique_ptr<MergePolicy> policy);
 
   /// Reconstructs a tree from a Manifest snapshot (src/lsm/manifest.h)
-  /// whose data blocks are already present on `device`. Bloom filters are
+  /// whose data blocks are already present on `device`. The manifest's
+  /// memory-resident records land in the L0 buffer. Bloom filters are
   /// rebuilt from the data blocks when enabled; leaf metadata is verified
   /// against block contents in that case.
   static StatusOr<std::unique_ptr<LsmTree>> Restore(
@@ -66,6 +69,13 @@ class LsmTree {
   LsmTree& operator=(const LsmTree&) = delete;
 
   // ---- Modifications (may trigger merges) ---------------------------
+  //
+  // The paper harness: the step-driven path below with a zero-record
+  // active memtable. A modification lands in the L0 buffer (what
+  // PutNoMerge + SealMemtable + one flush step would leave there), then
+  // compaction steps run until none is left. FailedPrecondition while the
+  // active memtable or the sealed queue holds records, which would shadow
+  // it: the two write paths do not mix on one tree.
 
   /// Inserts or blind-updates `key`. `payload` must be exactly
   /// Options::payload_size bytes.
@@ -79,22 +89,22 @@ class LsmTree {
   // The decoupled write path lsmssd::Db uses in both of its modes:
   // modifications land in the *active* memtable only (never merging
   // inline); when it fills, the caller seals it onto a queue of immutable
-  // memtables, and compaction drains the queue one bounded step at a
-  // time — on a background compaction thread, or on the writer itself
-  // until no step is left. Compaction may run concurrently with PutNoMerge/
-  // DeleteNoMerge as long as the caller serializes them against the
-  // active memtable and the sealed list (Db's memtable lock) and gives
-  // BackgroundCompactStep exclusive access to the levels (Db's tree
-  // lock); see DESIGN.md, "Compaction scheduling & write stalls".
+  // memtables, and compaction drains the queue into the L0 buffer one
+  // bounded step at a time — on a background compaction thread, or on the
+  // writer itself until no step is left. Compaction may run concurrently
+  // with PutNoMerge/DeleteNoMerge as long as the caller serializes them
+  // against the active memtable and the sealed list (Db's memtable lock)
+  // and gives BackgroundCompactStep exclusive access to the levels (Db's
+  // tree lock); see DESIGN.md, "Compaction scheduling & write stalls".
 
-  /// Put/Delete without the MaybeMerge cascade. The active
-  /// memtable may exceed its capacity transiently; the caller is expected
-  /// to seal it.
+  /// Put/Delete into the active memtable, running no compaction. The
+  /// active memtable may exceed its capacity transiently; the caller is
+  /// expected to seal it.
   Status PutNoMerge(Key key, std::string_view payload);
   Status DeleteNoMerge(Key key);
 
-  /// True once the active memtable holds >= K0 * B records (the same
-  /// overflow test Put applies before merging).
+  /// True once the active memtable holds >= K0 * B records (the L0
+  /// buffer's spill threshold).
   bool MemtableAtCapacity() const;
 
   /// Moves the active memtable onto the back of the sealed queue and
@@ -157,9 +167,9 @@ class LsmTree {
   }
   /// Absorbs `m` (which must be FrontSealed()) completely into the
   /// memory-resident L0 buffer — pure memory, no device I/O, so `m` is
-  /// always drained when this returns. The buffer plays the L0 role the
-  /// active memtable plays under Put: records spill to L1 only through
-  /// policy-windowed merges once it overflows (MergeSourceStep(0)).
+  /// always drained when this returns. The buffer is the paper's L0:
+  /// records spill to L1 only through policy-windowed merges once it
+  /// overflows (MergeSourceStep(0)).
   Status FlushSealedStep(Memtable* m);
   /// Pops the front sealed memtable if a flush step emptied it; returns
   /// whether it popped.
@@ -171,8 +181,9 @@ class LsmTree {
   /// not overflowing. Failure atomicity matches MergeExecutor::Merge.
   StatusOr<CompactStep> MergeSourceStep(size_t source);
 
-  /// Records currently absorbed into the L0 buffer (always 0 when the
-  /// tree is driven through Put/Delete alone).
+  /// Records currently in the L0 buffer: written there by Put/Delete,
+  /// absorbed from sealed memtables by flush steps, or restored from a
+  /// manifest.
   uint64_t l0_buffer_records() const { return l0_buffer_.size(); }
 
   // ---- Reads ---------------------------------------------------------
@@ -208,14 +219,10 @@ class LsmTree {
 
   /// Total number of levels h, *including* the memory-resident L0.
   size_t num_levels() const { return 1 + levels_.size(); }
-  /// The L0 a merge policy should look at: normally the active memtable;
-  /// during a background flush step, the sealed memtable being drained
-  /// (so SelectMerge and the L0 merge path work unchanged against it).
-  const Memtable& memtable() const {
-    return compacting_l0_ != nullptr ? *compacting_l0_ : memtable_;
-  }
-  /// Record count of the *active* memtable, bypassing the compacting_l0_
-  /// redirect above.
+  /// The paper's memory-resident L0: the buffer a merge out of level 0
+  /// drains, so a policy's SelectMerge(tree, 0) selects from it.
+  const Memtable& l0_buffer() const { return l0_buffer_; }
+  /// Record count of the active memtable (always 0 under Put/Delete).
   size_t active_memtable_records() const { return memtable_.size(); }
   /// Consolidated snapshot of every memory-resident record (active +
   /// sealed memtables, newest version of each key, tombstones kept), in
@@ -257,6 +264,13 @@ class LsmTree {
   LsmTree(const Options& options, BlockDevice* device,
           std::unique_ptr<MergePolicy> policy);
 
+  /// Validates one modification and logs it into `into`: a Put of
+  /// `*payload`, or a tombstone when `payload` is null.
+  Status LogModification(Memtable* into, Key key,
+                         const std::string_view* payload);
+  /// Put/Delete: logs into the L0 buffer, then steps until kNone.
+  Status CommitToL0(Key key, const std::string_view* payload);
+  /// On-SSD level L_i (i >= 1) holds more than K_i blocks.
   bool LevelOverflowing(size_t i) const;
   /// True once the L0 buffer holds at least twice its nominal K0
   /// capacity. Flush steps must then yield to overflow merges: a flush
@@ -266,20 +280,12 @@ class LsmTree {
   /// Yielding at 2x caps the buffer near 2*K0*B + one memtable and
   /// turns the excess into queue backpressure the writers can see.
   bool L0BufferBacklogged() const;
-  /// Runs merges until no level overflows (top-down cascade).
-  Status MaybeMerge();
   /// One merge out of `source_level`, as selected by the policy.
   Status ExecuteMerge(size_t source_level);
-  /// True once the L0 buffer holds >= K0 * B records (same overflow test
-  /// Put applies to the active memtable).
+  /// True once the L0 buffer holds >= K0 * B records: it spills
+  /// (MergeSourceStep(0)).
   bool L0BufferOverflowing() const;
   void AddLevel();
-  /// The memtable ExecuteMerge(0) drains: the redirect target during a
-  /// background flush step, the active memtable otherwise.
-  Memtable& l0() { return compacting_l0_ != nullptr ? *compacting_l0_ : memtable_; }
-  const Memtable& l0() const {
-    return compacting_l0_ != nullptr ? *compacting_l0_ : memtable_;
-  }
 
   Options options_;
   /// Owned buffer cache around the caller's device (null when disabled).
@@ -292,17 +298,14 @@ class LsmTree {
   /// front. Only SealMemtable appends; only flush steps drain. Always
   /// empty when the tree is driven through Put/Delete alone.
   std::deque<std::unique_ptr<Memtable>> sealed_;
-  /// The step-driven path's memory-resident L0: flush steps absorb sealed
-  /// memtables here (newest wins), and overflow steps spill policy-
-  /// selected windows to L1 once it reaches K0 capacity — the role the
-  /// active memtable plays under Put/MaybeMerge. Read precedence: below
-  /// every sealed memtable, above the levels. Mutated only by flush steps
-  /// and L0 spills (see the phase comment above for their locks); always
-  /// empty when the tree is driven through Put/Delete alone.
+  /// The memory-resident L0 of the paper: Put/Delete write here, flush
+  /// steps absorb sealed memtables here (newest wins), Restore loads the
+  /// manifest's memory-resident records here, and overflow steps spill
+  /// policy-selected windows to L1 once it reaches K0 capacity. Read
+  /// precedence: below every sealed memtable, above the levels. Under Db,
+  /// mutated only by flush steps and L0 spills (see the phase comment
+  /// above for their locks).
   Memtable l0_buffer_;
-  /// Set for the duration of a background flush step: memtable()/l0()
-  /// return the sealed memtable being drained instead of the active one.
-  Memtable* compacting_l0_ = nullptr;
   std::vector<std::unique_ptr<Level>> levels_;  // levels_[0] is L1.
   LsmStats stats_;
 };

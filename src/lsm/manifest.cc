@@ -302,14 +302,17 @@ StatusOr<std::unique_ptr<LsmTree>> LsmTree::Restore(
   std::unique_ptr<LsmTree> tree = std::move(tree_or).value();
   const Options& options = tree->options();
 
+  // The manifest's memory-resident records are the oldest memory-resident
+  // state, so they go to the L0 buffer: writes after the restore (Put/
+  // Delete, or the active memtable of the step-driven path) shadow them.
   for (const Record& r : manifest.memtable_records) {
     if (r.is_tombstone()) {
-      tree->memtable_.Delete(r.key);
+      tree->l0_buffer_.Delete(r.key);
     } else {
       if (r.payload.size() != options.stored_payload_size()) {
         return Status::Corruption("manifest memtable payload size mismatch");
       }
-      tree->memtable_.Put(r.key, r.payload);
+      tree->l0_buffer_.Put(r.key, r.payload);
     }
   }
 

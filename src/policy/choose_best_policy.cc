@@ -81,7 +81,7 @@ MergeSelection ChooseBestPolicy::SelectMerge(const LsmTree& tree,
   if (source_level == 0) {
     const size_t window = options.PartialMergeBlocks(0) *
                           options.records_per_block();
-    return SelectChooseBestFromL0(tree.memtable(), target, window);
+    return SelectChooseBestFromL0(tree.l0_buffer(), target, window);
   }
   return SelectChooseBestFromLevel(tree.level(source_level), target,
                                    options.PartialMergeBlocks(source_level));

@@ -21,7 +21,7 @@ MergeSelection SelectChooseBestFromLevel(const Level& source,
                                          size_t window_blocks);
 
 /// Same, but the source is L0: windows are `window_records` consecutive
-/// records of the memtable in key order.
+/// records of the L0 buffer in key order.
 MergeSelection SelectChooseBestFromL0(const Memtable& source,
                                       const Level& target,
                                       size_t window_records);

@@ -55,7 +55,7 @@ class MergePolicy {
   /// Display name ("Full", "RR", "ChooseBest", "Mixed").
   virtual std::string_view name() const = 0;
 
-  /// Called when `source_level` (0 = L0/memtable) overflows; returns what
+  /// Called when `source_level` (0 = the L0 buffer) overflows; returns what
   /// to merge into `source_level + 1`. Stateful policies (RR's cursor) may
   /// update internal state — the returned selection is always executed.
   virtual MergeSelection SelectMerge(const LsmTree& tree,

@@ -26,7 +26,7 @@ MergeSelection PartitionedChooseBestPolicy::SelectMerge(const LsmTree& tree,
   const Level& target = tree.level(target_index);
 
   if (source_level == 0) {
-    const Memtable& mem = tree.memtable();
+    const Memtable& mem = tree.l0_buffer();
     const size_t n = mem.size();
     LSMSSD_CHECK_GT(n, 0u);
     const size_t window = std::min<size_t>(

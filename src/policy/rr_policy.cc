@@ -18,7 +18,7 @@ MergeSelection RrPolicy::SelectMerge(const LsmTree& tree,
   const bool has_cursor = cursor_it != cursors_.end();
 
   if (source_level == 0) {
-    const Memtable& mem = tree.memtable();
+    const Memtable& mem = tree.l0_buffer();
     const size_t n = mem.size();
     LSMSSD_CHECK_GT(n, 0u);
     const size_t window = std::min<size_t>(

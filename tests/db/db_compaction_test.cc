@@ -317,6 +317,41 @@ TEST(DbCompactionTest, CheckpointPersistsQueuedMemtables) {
   }
 }
 
+TEST(DbCompactionTest, BackgroundReopenSpillsRestoredL0Buffer) {
+  // Restore loads the manifest's memory-resident records into the L0
+  // buffer. When they reach K0 * B, the compaction thread must spill them
+  // right after Open, not only once a later seal kicks it.
+  const std::string dir = FreshDir("reopen_l0");
+  DbOptions dbopts = BgDbOptions();
+  dbopts.background_compaction = false;
+  const uint64_t k0_records = dbopts.options.level0_capacity_blocks *
+                              dbopts.options.records_per_block();
+  {
+    auto db_or = Db::Open(dbopts, dir);
+    ASSERT_TRUE(db_or.ok());
+    Db& db = *db_or.value();
+    for (Key k = 0; k < 439; ++k) {
+      ASSERT_TRUE(db.Put(k, MakePayload(dbopts.options, k)).ok());
+    }
+    ASSERT_GE(db.tree()->active_memtable_records() +
+                  db.tree()->l0_buffer_records(),
+              k0_records);
+    ASSERT_TRUE(db.Checkpoint().ok());
+  }
+  dbopts.background_compaction = true;
+  auto db_or = Db::Open(dbopts, dir);
+  ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
+  Db& db = *db_or.value();
+  ASSERT_TRUE(db.WaitForCompaction().ok());
+  EXPECT_LT(db.tree()->l0_buffer_records(), k0_records);
+  EXPECT_FALSE(db.tree()->HasCompactionWork());
+  for (Key k = 0; k < 439; ++k) {
+    auto v = db.Get(k);
+    ASSERT_TRUE(v.ok()) << "key " << k;
+    EXPECT_EQ(v.value(), MakePayload(dbopts.options, k));
+  }
+}
+
 TEST(DbCompactionTest, FullDeviceWedgesThenUnwedges) {
   const std::string dir = FreshDir("wedge");
   DbOptions dbopts = BgDbOptions();

@@ -160,36 +160,36 @@ TEST(IteratorTest, RandomizedOracleAcrossEverySource) {
     uint64_t version = 0;
     // Odd keys only, so every even key is a "between keys" target.
     auto random_key = [&rng] { return 2 * rng.Uniform(400) + 1; };
-    auto write = [&](bool cascade, int ops) {
+    auto write = [&](bool drained, int ops) {
       for (int i = 0; i < ops; ++i) {
         const Key k = random_key();
         if (rng.Bernoulli(0.7)) {
           const std::string payload =
               MakePayload(fx.options_copy, k * 100000 + ++version);
-          ASSERT_TRUE((cascade ? tree.Put(k, payload)
+          ASSERT_TRUE((drained ? tree.Put(k, payload)
                                : tree.PutNoMerge(k, payload))
                           .ok());
           model[k] = payload;
         } else {
-          ASSERT_TRUE((cascade ? tree.Delete(k) : tree.DeleteNoMerge(k)).ok());
+          ASSERT_TRUE((drained ? tree.Delete(k) : tree.DeleteNoMerge(k)).ok());
           model.erase(k);
         }
       }
     };
-    // Oldest first: the levels, via Put's merge cascade...
-    write(/*cascade=*/true, 1500);
+    // Oldest first: the levels, via Put (each op drained to rest)...
+    write(/*drained=*/true, 1500);
     ASSERT_GE(tree.num_levels(), 3u);  // L0 + at least two on-SSD levels.
     // ...then a sealed memtable flushed into the L0 buffer (no merge)...
-    write(/*cascade=*/false, 30);
+    write(/*drained=*/false, 30);
     tree.SealMemtable();
     ASSERT_TRUE(tree.FlushSealedStep(tree.FrontSealed()).ok());
     ASSERT_TRUE(tree.PopSealedIfDrained());
     // ...then two sealed memtables left queued, then the active one.
     for (int sealed = 0; sealed < 2; ++sealed) {
-      write(/*cascade=*/false, 30);
+      write(/*drained=*/false, 30);
       tree.SealMemtable();
     }
-    write(/*cascade=*/false, 30);
+    write(/*drained=*/false, 30);
     ASSERT_GT(tree.l0_buffer_records(), 0u);
     ASSERT_EQ(tree.sealed_count(), 2u);
     ASSERT_GT(tree.active_memtable_records(), 0u);

@@ -191,18 +191,20 @@ TEST(BackgroundCompactTest, PutNoMergeNeverTouchesDevice) {
   }
   EXPECT_EQ(fx.device.stats().block_writes(), 0u);
   EXPECT_TRUE(fx.tree->MemtableAtCapacity());
-  EXPECT_EQ(fx.tree->memtable().size(), 100u);
+  EXPECT_EQ(fx.tree->active_memtable_records(), 100u);
 }
 
 TEST(BackgroundCompactTest, SealMovesMemtableAndEmptySealIsNoop) {
   TreeFixture fx(TinyOptions(), PolicyKind::kChooseBest);
   fx.tree->SealMemtable();  // Empty: no-op.
   EXPECT_EQ(fx.tree->sealed_count(), 0u);
-  for (Key k = 0; k < 10; ++k) ASSERT_TRUE(fx.Put(k).ok());
+  for (Key k = 0; k < 10; ++k) {
+    ASSERT_TRUE(fx.tree->PutNoMerge(k, MakePayload(fx.options_copy, k)).ok());
+  }
   fx.tree->SealMemtable();
   EXPECT_EQ(fx.tree->sealed_count(), 1u);
   EXPECT_EQ(fx.tree->sealed_records(), 10u);
-  EXPECT_EQ(fx.tree->memtable().size(), 0u);
+  EXPECT_EQ(fx.tree->active_memtable_records(), 0u);
   EXPECT_TRUE(fx.tree->HasCompactionWork());
 }
 
@@ -266,7 +268,7 @@ TEST(BackgroundCompactTest, StepsDrainQueueAndRestoreInvariants) {
 }
 
 TEST(BackgroundCompactTest, MatchesInlinePathContents) {
-  // Same operations through the inline cascade and the sealed-queue path
+  // Same operations through Put and the sealed-queue path
   // end in trees with identical logical contents.
   TreeFixture inline_fx(TinyOptions(), PolicyKind::kChooseBest);
   TreeFixture bg_fx(TinyOptions(), PolicyKind::kChooseBest);
@@ -303,11 +305,12 @@ TEST(BackgroundCompactTest, MatchesInlinePathContents) {
 
 TEST(BackgroundCompactTest, DrainPathWritesNoMoreBlocksThanPut) {
   // Db's inline mode commits with PutNoMerge, seals a full memtable and
-  // runs BackgroundCompactStep until kNone, instead of Put's MaybeMerge
-  // cascade. That swap must cost the paper's metric nothing: on the same
-  // seeded workload the drain path writes no more blocks than Put, and
-  // every level is back within capacity after each drain. The counts are
-  // deterministic (in-memory device, seeded keys).
+  // runs BackgroundCompactStep until kNone; Put runs the same steps after
+  // every op with an empty active memtable. Batching a memtable's worth
+  // of writes before the flush must cost the paper's metric nothing: on
+  // the same seeded workload the drain path writes no more blocks than
+  // Put, and every level is back within capacity after each drain. The
+  // counts are deterministic (in-memory device, seeded keys).
   struct Case {
     uint64_t k0_blocks;
     Key key_space;
@@ -341,6 +344,106 @@ TEST(BackgroundCompactTest, DrainPathWritesNoMoreBlocksThanPut) {
     ASSERT_GT(put_blocks, 0u);
     EXPECT_LE(drain_blocks, put_blocks);
   }
+}
+
+// Every field of LsmStats, for whole-struct equality checks.
+void ExpectStatsEqual(const LsmStats& a, const LsmStats& b) {
+  EXPECT_EQ(a.merges_into, b.merges_into);
+  EXPECT_EQ(a.full_merges_into, b.full_merges_into);
+  EXPECT_EQ(a.blocks_written_into, b.blocks_written_into);
+  EXPECT_EQ(a.maintenance_blocks_written, b.maintenance_blocks_written);
+  EXPECT_EQ(a.records_merged_into, b.records_merged_into);
+  EXPECT_EQ(a.blocks_preserved_into, b.blocks_preserved_into);
+  EXPECT_EQ(a.compactions, b.compactions);
+  EXPECT_EQ(a.pairwise_repairs, b.pairwise_repairs);
+  EXPECT_EQ(a.puts.value(), b.puts.value());
+  EXPECT_EQ(a.deletes.value(), b.deletes.value());
+  EXPECT_EQ(a.gets.value(), b.gets.value());
+  EXPECT_EQ(a.scans.value(), b.scans.value());
+}
+
+TEST(BackgroundCompactTest, PutIsSealAndDrainOfEveryOp) {
+  // The harness contract: Put/Delete are the step-driven pipeline with a
+  // zero-record active memtable. Per op, Put must leave the tree exactly
+  // where PutNoMerge + SealMemtable + BackgroundCompactStep-to-kNone
+  // leaves it: same device writes, same LsmStats, same contents.
+  struct Case {
+    PolicyKind kind;
+    bool preserve;
+    Key key_space;
+    uint64_t seed;
+  };
+  for (const Case& c : {Case{PolicyKind::kChooseBest, true, 3'000, 1},
+                        Case{PolicyKind::kRr, false, 3'000, 2},
+                        Case{PolicyKind::kFull, true, 20'000, 3},
+                        Case{PolicyKind::kPartitioned, true, 20'000, 4},
+                        Case{PolicyKind::kTestMixed, true, 3'000, 5}}) {
+    SCOPED_TRACE("policy=" + std::to_string(static_cast<int>(c.kind)) +
+                 " seed=" + std::to_string(c.seed));
+    Options options = TinyOptions();
+    options.preserve_blocks = c.preserve;
+    TreeFixture put_fx(options, c.kind);
+    TreeFixture step_fx(options, c.kind);
+    Random rng(c.seed);
+    for (int i = 0; i < 6'000; ++i) {
+      const Key key = rng.Uniform(c.key_space);
+      const bool del = rng.Uniform(3) == 0;
+      if (del) {
+        ASSERT_TRUE(put_fx.tree->Delete(key).ok());
+        ASSERT_TRUE(step_fx.tree->DeleteNoMerge(key).ok());
+      } else {
+        ASSERT_TRUE(put_fx.Put(key).ok());
+        ASSERT_TRUE(
+            step_fx.tree->PutNoMerge(key, MakePayload(options, key)).ok());
+      }
+      step_fx.tree->SealMemtable();
+      for (;;) {
+        auto step = step_fx.tree->BackgroundCompactStep();
+        ASSERT_TRUE(step.ok()) << step.status().ToString();
+        if (step.value() == LsmTree::CompactStep::kNone) break;
+      }
+      ASSERT_EQ(put_fx.device.stats().block_writes(),
+                step_fx.device.stats().block_writes())
+          << "op " << i;
+      ASSERT_EQ(put_fx.tree->l0_buffer_records(),
+                step_fx.tree->l0_buffer_records())
+          << "op " << i;
+      if (i % 500 == 499) {
+        std::vector<std::pair<Key, std::string>> a, b;
+        ASSERT_TRUE(put_fx.tree->Scan(0, c.key_space, &a).ok());
+        ASSERT_TRUE(step_fx.tree->Scan(0, c.key_space, &b).ok());
+        ASSERT_EQ(a, b) << "op " << i;
+      }
+    }
+    ExpectStatsEqual(put_fx.tree->stats(), step_fx.tree->stats());
+    EXPECT_EQ(put_fx.tree->num_levels(), step_fx.tree->num_levels());
+    EXPECT_EQ(put_fx.tree->active_memtable_records(), 0u);
+    EXPECT_EQ(put_fx.tree->sealed_count(), 0u);
+    ASSERT_TRUE(put_fx.tree->CheckInvariants(/*deep=*/true).ok());
+  }
+}
+
+TEST(BackgroundCompactTest, PutRefusesTreeWithActiveOrSealedRecords) {
+  // Put writes into the L0 buffer, which reads below the active memtable
+  // and the sealed queue, so a Put on top of step-driven writes would be
+  // shadowed by older values. It refuses instead, and changes nothing.
+  TreeFixture fx(TinyOptions(), PolicyKind::kChooseBest);
+  ASSERT_TRUE(fx.tree->PutNoMerge(1, MakePayload(fx.options_copy, 10)).ok());
+  EXPECT_EQ(fx.Put(1).code(), StatusCode::kFailedPrecondition);
+  fx.tree->SealMemtable();
+  EXPECT_EQ(fx.tree->Delete(1).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(fx.tree->stats().puts.value(), 1u);
+  EXPECT_EQ(fx.tree->stats().deletes.value(), 0u);
+  EXPECT_EQ(fx.tree->l0_buffer_records(), 0u);
+
+  // Once the queue is drained the tree takes Put again.
+  auto step = fx.tree->BackgroundCompactStep();
+  ASSERT_TRUE(step.ok());
+  ASSERT_EQ(step.value(), LsmTree::CompactStep::kFlush);
+  ASSERT_TRUE(fx.Put(1).ok());
+  auto v = fx.tree->Get(1);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v.value(), MakePayload(fx.options_copy, 1));
 }
 
 TEST(BackgroundCompactTest, MemtableSnapshotConsolidatesNewestWins) {

@@ -2,6 +2,12 @@
 
 #include <unistd.h>
 
+#include <map>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/storage/file_block_device.h"
@@ -30,7 +36,7 @@ TEST(ManifestTest, EncodeDecodeRoundTripPopulatedTree) {
   auto manifest_or = DecodeManifest(EncodeManifest(*fx.tree));
   ASSERT_TRUE(manifest_or.ok()) << manifest_or.status().ToString();
   const Manifest& m = manifest_or.value();
-  EXPECT_EQ(m.memtable_records.size(), fx.tree->memtable().size());
+  EXPECT_EQ(m.memtable_records.size(), fx.tree->l0_buffer().size());
   ASSERT_EQ(m.levels.size(), fx.tree->num_levels() - 1);
   for (size_t i = 0; i < m.levels.size(); ++i) {
     ASSERT_EQ(m.levels[i].size(), fx.tree->level(i + 1).num_leaves());
@@ -66,6 +72,63 @@ TEST(ManifestTest, RestoreOnSameDeviceMatchesOriginal) {
       EXPECT_EQ(a.value(), b.value());
     }
   }
+}
+
+TEST(ManifestTest, WritesAfterRestoreShadowRestoredMemoryResidentRecords) {
+  // The manifest's memory-resident records are the oldest memory-resident
+  // state: Put/Delete on the restored tree must win over them in Get,
+  // Scan and the iterator.
+  TreeFixture fx(TinyOptions(), PolicyKind::kChooseBest);
+  std::map<Key, std::string> expect;
+  for (Key k = 0; k < 500; ++k) {
+    ASSERT_TRUE(fx.Put(k * 3).ok());
+    expect[k * 3] = MakePayload(fx.options_copy, k * 3);
+  }
+  auto manifest_or = DecodeManifest(EncodeManifest(*fx.tree));
+  ASSERT_TRUE(manifest_or.ok()) << manifest_or.status().ToString();
+  const Manifest& m = manifest_or.value();
+  ASSERT_GE(m.memtable_records.size(), 10u);
+  auto restored_or = LsmTree::Restore(m, &fx.device,
+                                      CreatePolicy(PolicyKind::kChooseBest));
+  ASSERT_TRUE(restored_or.ok()) << restored_or.status().ToString();
+  LsmTree& restored = *restored_or.value();
+  EXPECT_EQ(restored.l0_buffer_records(), m.memtable_records.size());
+
+  // Overwrite every other restored key, delete the rest.
+  const std::string fresh(fx.options_copy.payload_size, 'z');
+  for (size_t i = 0; i < m.memtable_records.size(); ++i) {
+    const Key key = m.memtable_records[i].key;
+    if (i % 2 == 0) {
+      ASSERT_TRUE(restored.Put(key, fresh).ok());
+      expect[key] = fresh;
+    } else {
+      ASSERT_TRUE(restored.Delete(key).ok());
+      expect.erase(key);
+    }
+  }
+  ASSERT_TRUE(restored.CheckInvariants(/*deep=*/true).ok());
+
+  for (const Record& r : m.memtable_records) {
+    auto v = restored.Get(r.key);
+    if (expect.count(r.key) != 0) {
+      ASSERT_TRUE(v.ok()) << "key " << r.key;
+      EXPECT_EQ(v.value(), fresh) << "key " << r.key;
+    } else {
+      EXPECT_TRUE(v.status().IsNotFound()) << "key " << r.key;
+    }
+  }
+  const std::vector<std::pair<Key, std::string>> want(expect.begin(),
+                                                      expect.end());
+  std::vector<std::pair<Key, std::string>> scanned;
+  ASSERT_TRUE(restored.Scan(0, 10'000, &scanned).ok());
+  EXPECT_EQ(scanned, want);
+  std::vector<std::pair<Key, std::string>> iterated;
+  std::unique_ptr<Iterator> it = restored.NewIterator();
+  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+    iterated.emplace_back(it->key(), it->value());
+  }
+  ASSERT_TRUE(it->status().ok());
+  EXPECT_EQ(iterated, want);
 }
 
 TEST(ManifestTest, RestoreRebuildsBloomFilters) {

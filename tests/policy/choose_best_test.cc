@@ -131,7 +131,7 @@ TEST(ChooseBestPolicyTest, EveryMergeRespectsWindowSize) {
     ASSERT_TRUE(fx.Put(k * 17 + 1).ok());
     const uint64_t l0_cap =
         options.level0_capacity_blocks * options.records_per_block();
-    EXPECT_LT(fx.tree->memtable().size(), l0_cap);
+    EXPECT_LT(fx.tree->l0_buffer().size(), l0_cap);
   }
   // Records merged into L1 arrive in window-sized steps.
   EXPECT_EQ(fx.tree->stats().records_merged_into[1] % window, 0u);

@@ -51,7 +51,7 @@ TEST(FullPolicyTest, FullMergesEmptyTheSourceLevel) {
       options.level0_capacity_blocks * options.records_per_block();
   for (Key k = 0; k < l0_records; ++k) ASSERT_TRUE(fx.Put(k * 3).ok());
   // After a Full merge, L0 drained completely.
-  EXPECT_EQ(fx.tree->memtable().size(), 0u);
+  EXPECT_EQ(fx.tree->l0_buffer().size(), 0u);
   EXPECT_EQ(fx.tree->stats().full_merges_into[1],
             fx.tree->stats().merges_into[1]);
 }
